@@ -6,11 +6,14 @@
 //
 // Both halves of the request pipeline are batched and allocation-free in
 // steady state. Reads: scratch-aliasing wire decoding, PALM-style batched
-// lookups (§4.8), and arena-appended responses. Writes: runs of puts
-// descend the tree in key order sharing one border-node lock acquisition
-// per run (core.PutBatchInto), each put builds a single packed value
-// allocation (value.BuildAt), versions come from per-worker loosely
-// synchronized clocks instead of a global counter (§5.1, kvstore's
+// lookups (§4.8), and arena-appended responses. Writes: every put, TTL
+// put, Touch, CAS and backend install is one descriptor run through
+// kvstore's single write path — one core.PutBatchInto pass whose callback
+// declines or builds each key's value under its border-node lock, runs of
+// co-located keys sharing one lock acquisition, then one chained append of
+// the whole batch to the worker's log. Each put builds a single packed
+// value allocation (value.BuildTTLAt), versions come from per-worker
+// loosely synchronized clocks instead of a global counter (§5.1, kvstore's
 // shardedClock), and log records are encoded directly into per-worker
 // double-buffered logs whose flushes never block appenders (§5, wal).
 //
@@ -55,10 +58,12 @@
 // wholesale — which the paper's min-over-logs cutoff cannot see, since a
 // missing log imposes no constraint — surfaces as missing_logs. Both
 // counters ride the server's Stats op. The walchain analyzer proves the
-// draw/read/append window statically, and the multi-writer crash torture
-// (TestCrashTortureMultiWriter) proves end to end that keys whose columns
-// span logs recover to exact applied states at every crash boundary, even
-// with a whole log removed.
+// draw/read/append window statically — the version draw and the prev read
+// inside the one write path's tree callback, its single chained append
+// (wal.Writer.AppendPutBatch) after lockWorker — and the multi-writer
+// crash torture (TestCrashTortureMultiWriter) proves end to end that keys
+// whose columns span logs recover to exact applied states at every crash
+// boundary, even with a whole log removed.
 //
 // Cache mode (internal/cache) makes the store the memcached-class server
 // the paper benchmarks against (§1, §6): Config.MaxBytes bounds the

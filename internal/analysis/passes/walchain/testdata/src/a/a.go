@@ -2,7 +2,7 @@
 // with the recognition conventions of the real one (tree write methods
 // Update/Apply/PutBatchInto taking func literals, a version-drawing
 // nextVersion method, a worker lock named lockWorker, and a WAL type named
-// Writer with the chained append methods), exercising every diagnostic and
+// Writer with the chained batch append), exercising every diagnostic and
 // the clean shapes.
 package a
 
@@ -26,12 +26,13 @@ func (t *Tree) Update(key []byte, f func(*Value) *Value)               {}
 func (t *Tree) Apply(key []byte, f func(*Value) *Value)                {}
 func (t *Tree) PutBatchInto(keys [][]byte, f func(int, *Value) *Value) {}
 
+type Op uint8
+
 type Writer struct{}
 
-func (w *Writer) AppendPut(ts, prev uint64, key []byte, puts []ColPut)                            {}
-func (w *Writer) AppendPutTTL(ts, prev uint64, key []byte, puts []ColPut, expiry uint64)          {}
-func (w *Writer) AppendPutBatch(keys [][]byte, puts [][]ColPut, ts, prev []uint64, insert []bool) {}
-func (w *Writer) AppendInsert(ts uint64, key []byte, puts []ColPut)                               {}
+func (w *Writer) AppendPutBatch(keys [][]byte, puts [][]ColPut, ts, prev []uint64, ops []Op, expiry []uint64) {
+}
+func (w *Writer) AppendRemove(ts uint64, key []byte) {}
 
 type Set struct{}
 
@@ -49,8 +50,8 @@ type Store struct {
 func (s *Store) lockWorker(worker int) *mutex              { return &mutex{} }
 func (s *Store) nextVersion(worker int, old *Value) uint64 { return 2 }
 
-// goodPut is the canonical linked-put shape: prev and ver both drawn inside
-// the Update callback, append under the worker lock.
+// goodPut is the canonical single-key shape: prev and ver both drawn inside
+// the Update callback, appended as one-element slices under the worker lock.
 func (s *Store) goodPut(worker int, key []byte, puts []ColPut) uint64 {
 	mu := s.lockWorker(worker)
 	defer mu.Unlock()
@@ -60,7 +61,7 @@ func (s *Store) goodPut(worker int, key []byte, puts []ColPut) uint64 {
 		ver = s.nextVersion(worker, old)
 		return old
 	})
-	s.logs.Writer(worker).AppendPut(ver, prev, key, puts)
+	s.logs.Writer(worker).AppendPutBatch([][]byte{key}, [][]ColPut{puts}, []uint64{ver}, []uint64{prev}, []Op{1}, []uint64{0})
 	return ver
 }
 
@@ -73,12 +74,12 @@ func (s *Store) goodAnchor(worker int, key []byte, puts []ColPut, expiry uint64)
 		ver = s.nextVersion(worker, old)
 		return old
 	})
-	s.logs.Writer(worker).AppendPutTTL(ver, 0, key, puts, expiry)
+	s.logs.Writer(worker).AppendPutBatch([][]byte{key}, [][]ColPut{puts}, []uint64{ver}, []uint64{0}, []Op{4}, []uint64{expiry})
 }
 
 type scratch struct {
-	vers, prevs []uint64
-	inserts     []bool
+	vers, prevs, exps []uint64
+	ops               []Op
 }
 
 // goodBatch: scratch-rooted versions and prev links filled in the batch
@@ -91,7 +92,7 @@ func (s *Store) goodBatch(worker int, keys [][]byte, puts [][]ColPut, sc *scratc
 		sc.vers[i] = s.nextVersion(worker, old)
 		return old
 	})
-	s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.inserts)
+	s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.ops, sc.exps)
 }
 
 // badPrevOutside reads the prev link before the critical section — the
@@ -105,19 +106,45 @@ func (s *Store) badPrevOutside(worker int, key []byte, puts []ColPut, cur *Value
 		ver = s.nextVersion(worker, old)
 		return old
 	})
-	s.logs.Writer(worker).AppendPut(ver, prev, key, puts) // want `prev link prev of AppendPut is not read in the border-lock critical section that draws the version`
+	s.logs.Writer(worker).AppendPutBatch([][]byte{key}, [][]ColPut{puts}, []uint64{ver}, []uint64{prev}, []Op{1}, []uint64{0}) // want `prev link prev of AppendPutBatch is not read in the border-lock critical section that draws the version`
+}
+
+// badBatchPrevOutside fills a batch's prev links outside the callback.
+func (s *Store) badBatchPrevOutside(worker int, keys [][]byte, puts [][]ColPut, cur []*Value, sc *scratch) {
+	mu := s.lockWorker(worker)
+	defer mu.Unlock()
+	prevs := make([]uint64, len(keys))
+	for i, v := range cur {
+		prevs[i] = v.Version()
+	}
+	s.tree.PutBatchInto(keys, func(i int, old *Value) *Value {
+		sc.vers[i] = s.nextVersion(worker, old)
+		return old
+	})
+	s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, prevs, sc.ops, sc.exps) // want `prev link prevs of AppendPutBatch is not read in the border-lock critical section that draws the version`
 }
 
 // badNoLock appends outside the worker lock: nothing serializes the
 // draw-to-append window against the next writer.
-func (s *Store) badNoLock(worker int, key []byte, puts []ColPut) {
-	var ver, prev uint64
-	s.tree.Update(key, func(old *Value) *Value {
-		prev = old.Version()
-		ver = s.nextVersion(worker, old)
+func (s *Store) badNoLock(worker int, keys [][]byte, puts [][]ColPut, sc *scratch) {
+	s.tree.PutBatchInto(keys, func(i int, old *Value) *Value {
+		sc.prevs[i] = old.Version()
+		sc.vers[i] = s.nextVersion(worker, old)
 		return old
 	})
-	s.logs.Writer(worker).AppendPut(ver, prev, key, puts) // want `AppendPut without the worker lock: no lockWorker call precedes the append`
+	s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.ops, sc.exps) // want `AppendPutBatch without the worker lock: no lockWorker call precedes the append`
+}
+
+// badLockAfter takes the worker lock only after appending, so the window
+// between draw and append is open to the next writer.
+func (s *Store) badLockAfter(worker int, keys [][]byte, puts [][]ColPut, sc *scratch) {
+	s.tree.PutBatchInto(keys, func(i int, old *Value) *Value {
+		sc.prevs[i] = old.Version()
+		sc.vers[i] = s.nextVersion(worker, old)
+		return old
+	})
+	s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.ops, sc.exps) // want `AppendPutBatch without the worker lock: no lockWorker call precedes the append`
+	s.lockWorker(worker).Unlock()
 }
 
 // badLiteralPrev forges a constant chain link.
@@ -129,7 +156,7 @@ func (s *Store) badLiteralPrev(worker int, key []byte, puts []ColPut) {
 		ver = s.nextVersion(worker, old)
 		return old
 	})
-	s.logs.Writer(worker).AppendPut(ver, 7, key, puts) // want `constant prev 7 in AppendPut: only 0 \(a chain anchor\) may be a constant link`
+	s.logs.Writer(worker).AppendPutBatch([][]byte{key}, [][]ColPut{puts}, []uint64{ver}, []uint64{7}, []Op{1}, []uint64{0}) // want `constant prev 7 in AppendPutBatch: only 0 \(a chain anchor\) may be a constant link`
 }
 
 // badVersionOutside draws the version outside any tree write, so it is
@@ -141,13 +168,13 @@ func (s *Store) badVersionOutside(worker int, key []byte, puts []ColPut, cur *Va
 	ver := s.nextVersion(worker, cur) // want `nextVersion outside a tree-write critical section`
 	prev := cur.Version()
 	s.tree.Update(key, func(old *Value) *Value { return old })
-	s.logs.Writer(worker).AppendPut(ver, prev, key, puts) // want `version argument ver of AppendPut is not assigned in the border-lock critical section that draws it` `prev link prev of AppendPut is not read in the border-lock critical section that draws the version`
+	s.logs.Writer(worker).AppendPutBatch([][]byte{key}, [][]ColPut{puts}, []uint64{ver}, []uint64{prev}, []Op{1}, []uint64{0}) // want `version argument ver of AppendPutBatch is not assigned in the border-lock critical section that draws it` `prev link prev of AppendPutBatch is not read in the border-lock critical section that draws the version`
 }
 
 // goodAllowed: a deliberate exception carries an annotated reason.
-func (s *Store) goodAllowed(worker int, key []byte, puts []ColPut, replayVer, replayPrev uint64) {
+func (s *Store) goodAllowed(worker int, keys [][]byte, puts [][]ColPut, replayVers, replayPrevs []uint64, ops []Op, exps []uint64) {
 	mu := s.lockWorker(worker)
 	defer mu.Unlock()
 	//lint:allow walchain replay re-logs versions drawn by the original writer
-	s.logs.Writer(worker).AppendPut(replayVer, replayPrev, key, puts)
+	s.logs.Writer(worker).AppendPutBatch(keys, puts, replayVers, replayPrevs, ops, exps)
 }

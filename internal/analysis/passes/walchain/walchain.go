@@ -10,15 +10,16 @@
 // read and the draw and the logged chain skips a version, which replay then
 // counts as broken.
 //
-// Concretely, for every call to Writer.AppendPut / AppendPutTTL /
-// AppendPutBatch in the kvstore:
+// Concretely, for every call to Writer.AppendPutBatch in the kvstore (its
+// one chained append):
 //
 //   - a lockWorker call must precede the append in the same function (the
 //     worker lock spans draw to append);
-//   - the prev argument must be the literal 0 (a chain anchor: inserts,
-//     cross-log handoffs, Touch) or a value assigned inside a tree-write
-//     func literal that calls nextVersion;
-//   - the version argument must likewise be assigned inside such a literal;
+//   - the prev argument must be a value assigned inside a tree-write func
+//     literal that calls nextVersion, or a slice literal whose elements are
+//     each such a value or the literal 0 (a chain anchor);
+//   - the version argument (or each element of a slice literal there) must
+//     likewise be assigned inside such a literal;
 //   - and every nextVersion call must itself sit inside a func literal
 //     passed to a tree write method — versions drawn outside the border
 //     lock are unordered against the value they stamp.
@@ -51,8 +52,6 @@ var treeWrites = map[string]bool{"Update": true, "Apply": true, "PutBatchInto": 
 // chainAppends maps the checked Writer methods to the argument positions of
 // (version, prev).
 var chainAppends = map[string][2]int{
-	"AppendPut":      {0, 1},
-	"AppendPutTTL":   {0, 1},
 	"AppendPutBatch": {2, 3},
 }
 
@@ -142,21 +141,34 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if !lockPos.IsValid() || call.Pos() < lockPos {
 			pass.Reportf(call.Pos(), "%s without the worker lock: no lockWorker call precedes the append, so the draw-to-append window is not serialized", sel.Sel.Name)
 		}
-		verArg, prevArg := call.Args[argIdx[0]], call.Args[argIdx[1]]
-		if v := rootVar(info, verArg); v == nil || !crit[v] {
-			pass.Reportf(verArg.Pos(), "version argument %s of %s is not assigned in the border-lock critical section that draws it", types.ExprString(verArg), sel.Sel.Name)
-		}
-		if lit, ok := ast.Unparen(prevArg).(*ast.BasicLit); ok {
-			if lit.Value != "0" {
-				pass.Reportf(prevArg.Pos(), "constant prev %s in %s: only 0 (a chain anchor) may be a constant link", lit.Value, sel.Sel.Name)
+		for _, e := range elems(call.Args[argIdx[0]]) {
+			if v := rootVar(info, e); v == nil || !crit[v] {
+				pass.Reportf(e.Pos(), "version argument %s of %s is not assigned in the border-lock critical section that draws it", types.ExprString(e), sel.Sel.Name)
 			}
-			return true
 		}
-		if v := rootVar(info, prevArg); v == nil || !crit[v] {
-			pass.Reportf(prevArg.Pos(), "prev link %s of %s is not read in the border-lock critical section that draws the version", types.ExprString(prevArg), sel.Sel.Name)
+		for _, e := range elems(call.Args[argIdx[1]]) {
+			if lit, ok := ast.Unparen(e).(*ast.BasicLit); ok {
+				if lit.Value != "0" {
+					pass.Reportf(e.Pos(), "constant prev %s in %s: only 0 (a chain anchor) may be a constant link", lit.Value, sel.Sel.Name)
+				}
+				continue
+			}
+			if v := rootVar(info, e); v == nil || !crit[v] {
+				pass.Reportf(e.Pos(), "prev link %s of %s is not read in the border-lock critical section that draws the version", types.ExprString(e), sel.Sel.Name)
+			}
 		}
 		return true
 	})
+}
+
+// elems returns a slice literal's elements, or the expression itself: the
+// batched append's version and prev arguments are slices, and a literal
+// one is checked element by element.
+func elems(e ast.Expr) []ast.Expr {
+	if cl, ok := ast.Unparen(e).(*ast.CompositeLit); ok {
+		return cl.Elts
+	}
+	return []ast.Expr{e}
 }
 
 // callsNextVersion reports whether the literal's body draws a version.

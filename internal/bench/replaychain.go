@@ -155,7 +155,7 @@ func Replaychain(sc Scale) *Table {
 		panic(err)
 	}
 	for i, k := range keys {
-		set1.Writer(0).AppendInsert(uint64(2*i+1), []byte(k), put1)
+		set1.Writer(0).Append(&wal.Record{TS: uint64(2*i + 1), Op: wal.OpInsert, Key: []byte(k), Puts: put1})
 	}
 	if err := set1.Close(); err != nil {
 		panic(err)
@@ -166,9 +166,9 @@ func Replaychain(sc Scale) *Table {
 	}
 	for i, k := range keys {
 		if i%10 == 0 {
-			set2.Writer(0).AppendPut(uint64(2*i+2), uint64(2*i+1), []byte(k), put1)
+			set2.Writer(0).Append(&wal.Record{TS: uint64(2*i + 2), Op: wal.OpPut, Prev: uint64(2*i + 1), Key: []byte(k), Puts: put1})
 		} else {
-			set2.Writer(0).AppendPut(uint64(2*i+2), 0, []byte(k), put1)
+			set2.Writer(0).Append(&wal.Record{TS: uint64(2*i + 2), Op: wal.OpPut, Key: []byte(k), Puts: put1})
 		}
 	}
 	if err := set2.Close(); err != nil {

@@ -80,7 +80,7 @@ func TestGetBatchIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestGetBatchMatchesGet pins the convenience wrapper's input-order results.
+// TestGetBatchMatchesGet pins the batched lookup's input-order results.
 func TestGetBatchMatchesGet(t *testing.T) {
 	s := newAllocTestStore(t, 100)
 	sess := s.Session(0)
@@ -88,20 +88,20 @@ func TestGetBatchMatchesGet(t *testing.T) {
 	keys := [][]byte{
 		[]byte("alloc-key-000007"), []byte("no-such-key"), []byte("alloc-key-000099"),
 	}
-	out, found := sess.GetBatch(keys, nil)
+	vals, found := sess.GetBatchInto(keys)
 	for i, k := range keys {
 		cols, ok := sess.Get(k, nil)
 		if ok != found[i] {
 			t.Fatalf("key %q: found %v vs %v", k, found[i], ok)
 		}
-		if ok && string(out[i][0]) != string(cols[0]) {
-			t.Fatalf("key %q: %q vs %q", k, out[i][0], cols[0])
+		if ok && string(vals[i].Col(0)) != string(cols[0]) {
+			t.Fatalf("key %q: %q vs %q", k, vals[i].Col(0), cols[0])
 		}
 	}
 }
 
 // TestPutSimpleAllocs pins the logging-disabled put hot path at exactly one
-// allocation: the packed value (value.BuildAt). The tree descent, version
+// allocation: the packed value (value.BuildTTLAt). The tree descent, version
 // tick, and scratch are all allocation-free.
 func TestPutSimpleAllocs(t *testing.T) {
 	s := newAllocTestStore(t, 1000)

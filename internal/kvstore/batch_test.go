@@ -19,15 +19,16 @@ func TestGetBatch(t *testing.T) {
 	keys := [][]byte{
 		[]byte("k010"), []byte("missing"), []byte("k499"), []byte("k000"), []byte("k010"),
 	}
-	out, found := s.GetBatch(keys, []int{1})
+	var sc BatchScratch
+	vals, found := s.GetBatchInto(keys, &sc)
 	wantFound := []bool{true, false, true, true, true}
 	wantCol := []string{"b10", "", "b499", "b0", "b10"}
 	for i := range keys {
 		if found[i] != wantFound[i] {
 			t.Fatalf("key %q found=%v want %v", keys[i], found[i], wantFound[i])
 		}
-		if found[i] && !bytes.Equal(out[i][0], []byte(wantCol[i])) {
-			t.Fatalf("key %q col = %q want %q", keys[i], out[i][0], wantCol[i])
+		if found[i] && !bytes.Equal(vals[i].Col(1), []byte(wantCol[i])) {
+			t.Fatalf("key %q col = %q want %q", keys[i], vals[i].Col(1), wantCol[i])
 		}
 	}
 }
@@ -35,11 +36,13 @@ func TestGetBatch(t *testing.T) {
 func TestGetBatchAllColumns(t *testing.T) {
 	s := openMem(t)
 	s.Put(0, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("x")}, {Col: 2, Data: []byte("z")}})
-	out, found := s.GetBatch([][]byte{[]byte("k")}, nil)
-	if !found[0] || len(out[0]) != 3 {
-		t.Fatalf("batch all-cols: %v %v", out, found)
+	var sc BatchScratch
+	vals, found := s.GetBatchInto([][]byte{[]byte("k")}, &sc)
+	if !found[0] {
+		t.Fatal("batch all-cols: key not found")
 	}
-	if string(out[0][0]) != "x" || out[0][1] != nil || string(out[0][2]) != "z" {
-		t.Fatalf("columns wrong: %q", out[0])
+	cols := AppendCols(nil, vals[0], nil)
+	if len(cols) != 3 || string(cols[0]) != "x" || cols[1] != nil || string(cols[2]) != "z" {
+		t.Fatalf("columns wrong: %q", cols)
 	}
 }

@@ -145,7 +145,7 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old.Writer(1).AppendPut(1, 0, []byte("idle-worker-key"), []value.ColPut{{Col: 0, Data: []byte("old")}})
+	old.Writer(1).Append(&wal.Record{TS: 1, Op: wal.OpPut, Key: []byte("idle-worker-key"), Puts: []value.ColPut{{Col: 0, Data: []byte("old")}}})
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestExpiredBaseBatch(t *testing.T) {
 		{{Col: 0, Data: []byte("d0-new")}},
 		{{Col: 0, Data: []byte("l0-new")}},
 	}
-	s.PutBatch(0, keys, puts)
+	s.PutBatchInto(0, keys, puts, new(BatchScratch))
 
 	check := func(st *Store, label string) {
 		t.Helper()
@@ -182,10 +182,10 @@ func TestCleanDropThenBatchPutRecovery(t *testing.T) {
 	if !s.evictKey([]byte("dropped")) {
 		t.Fatal("evict failed")
 	}
-	s.PutBatch(0, [][]byte{[]byte("dropped"), []byte("kept")}, [][]value.ColPut{
+	s.PutBatchInto(0, [][]byte{[]byte("dropped"), []byte("kept")}, [][]value.ColPut{
 		{{Col: 0, Data: []byte("new0")}},
 		{{Col: 0, Data: []byte("b0-new")}},
-	})
+	}, new(BatchScratch))
 	check := func(st *Store, label string) {
 		t.Helper()
 		cols, ok := st.Get([]byte("dropped"), nil)

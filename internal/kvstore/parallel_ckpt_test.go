@@ -252,7 +252,7 @@ func TestLegacyCheckpointReplaysBelowItsTimestamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Writer(0).AppendPut(90, 0, []byte("lagged"), []value.ColPut{{Col: 0, Data: []byte("v90")}})
+	set.Writer(0).Append(&wal.Record{TS: 90, Op: wal.OpPut, Key: []byte("lagged"), Puts: []value.ColPut{{Col: 0, Data: []byte("v90")}}})
 	set.Writer(0).AppendMark(100)
 	if err := set.Close(); err != nil {
 		t.Fatal(err)

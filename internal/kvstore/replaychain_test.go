@@ -86,7 +86,7 @@ func TestBrokenChainRollsBackToAnchoredPrefix(t *testing.T) {
 	w := set.Writer(0)
 	// Key "whole": its anchor will be in the vanished generation — every
 	// surviving record dangles, so it must roll back to absence.
-	w.AppendInsert(5, []byte("whole"), []value.ColPut{{Col: 0, Data: []byte("lost")}})
+	w.Append(&wal.Record{TS: 5, Op: wal.OpInsert, Key: []byte("whole"), Puts: []value.ColPut{{Col: 0, Data: []byte("lost")}}})
 	if err := set.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +98,12 @@ func TestBrokenChainRollsBackToAnchoredPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	w = set2.Writer(0)
-	w.AppendPut(9, 5, []byte("whole"), []value.ColPut{{Col: 1, Data: []byte("dangling")}})
+	w.Append(&wal.Record{TS: 9, Op: wal.OpPut, Prev: 5, Key: []byte("whole"), Puts: []value.ColPut{{Col: 1, Data: []byte("dangling")}}})
 	// Key "part": anchored in the surviving generation, then one good link
 	// and one broken link (its prev names a version that never replays).
-	w.AppendInsert(10, []byte("part"), []value.ColPut{{Col: 0, Data: []byte("x")}})
-	w.AppendPut(12, 10, []byte("part"), []value.ColPut{{Col: 1, Data: []byte("y")}})
-	w.AppendPut(14, 13, []byte("part"), []value.ColPut{{Col: 0, Data: []byte("BAD")}})
+	w.Append(&wal.Record{TS: 10, Op: wal.OpInsert, Key: []byte("part"), Puts: []value.ColPut{{Col: 0, Data: []byte("x")}}})
+	w.Append(&wal.Record{TS: 12, Op: wal.OpPut, Prev: 10, Key: []byte("part"), Puts: []value.ColPut{{Col: 1, Data: []byte("y")}}})
+	w.Append(&wal.Record{TS: 14, Op: wal.OpPut, Prev: 13, Key: []byte("part"), Puts: []value.ColPut{{Col: 0, Data: []byte("BAD")}}})
 	if err := set2.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ type Session struct {
 	h      *epoch.Handle
 
 	put1  [1]value.ColPut // PutSimple scratch (Put does not retain the slice)
-	batch BatchScratch    // GetBatch/GetBatchInto scratch
+	batch BatchScratch    // GetBatchInto and write scratch
 }
 
 // Session creates a session bound to the given worker's log.
@@ -57,25 +57,6 @@ func (ss *Session) GetInto(key []byte, cols []int, dst [][]byte) ([][]byte, bool
 	return ss.s.GetInto(key, cols, dst)
 }
 
-// GetBatch retrieves many keys in one epoch-protected critical section,
-// descending in tree order to share cache paths (§4.8). Results are in
-// input order; cols == nil returns all columns.
-func (ss *Session) GetBatch(keys [][]byte, cols []int) ([][][]byte, []bool) {
-	ss.h.Enter()
-	defer ss.h.Exit()
-	if ss.s.cache.EvictionEnabled() {
-		for _, k := range keys {
-			ss.s.cache.NoteAccess(ss.worker, k)
-		}
-	}
-	vals, ok := ss.s.GetBatchInto(keys, &ss.batch)
-	// Copy the found flags out of the session scratch: this is the safe
-	// allocating wrapper, so nothing it returns may alias reusable state.
-	found := make([]bool, len(ok))
-	copy(found, ok)
-	return extractBatchCols(vals, ok, cols), found
-}
-
 // GetBatchInto is the allocation-free batched lookup: results live in the
 // session's scratch and are valid until the session's next batched get.
 // Column extraction is the caller's job (see AppendCols).
@@ -90,14 +71,22 @@ func (ss *Session) GetBatchInto(keys [][]byte) ([]*value.Value, []bool) {
 	return ss.s.GetBatchInto(keys, &ss.batch)
 }
 
+// write runs one single-key write through this session's log and batch-
+// ordering scratch, inside the session's epoch.
+func (ss *Session) write(key []byte, puts []value.ColPut, op writeOp) (uint64, bool) {
+	ss.h.Enter()
+	defer ss.h.Exit()
+	ver, ok, _ := ss.s.writeOne(ss.worker, key, puts, op, &ss.batch.core)
+	return ver, ok
+}
+
 // Put applies column modifications atomically via this session's log.
 // Nothing is retained: the puts slice, the Data bytes, and the key are all
 // copied (into the packed value and the log buffer), so callers may reuse
 // their buffers immediately.
 func (ss *Session) Put(key []byte, puts []value.ColPut) uint64 {
-	ss.h.Enter()
-	defer ss.h.Exit()
-	return ss.s.Put(ss.worker, key, puts)
+	ver, _ := ss.write(key, puts, writeOp{})
+	return ver
 }
 
 // PutSimple stores data as column 0. Neither key nor data is retained.
@@ -109,9 +98,8 @@ func (ss *Session) PutSimple(key, data []byte) uint64 {
 // PutTTL is Put with an expiry deadline in unix nanoseconds (0 = never);
 // see Store.PutTTL for cache-mode TTL semantics.
 func (ss *Session) PutTTL(key []byte, puts []value.ColPut, expiresAt uint64) uint64 {
-	ss.h.Enter()
-	defer ss.h.Exit()
-	return ss.s.PutTTL(ss.worker, key, puts, expiresAt)
+	ver, _ := ss.write(key, puts, writeOp{ttl: true, expiry: expiresAt})
+	return ver
 }
 
 // PutSimpleTTL stores data as column 0 with an expiry deadline.
@@ -123,9 +111,7 @@ func (ss *Session) PutSimpleTTL(key, data []byte, expiresAt uint64) uint64 {
 // Touch resets key's expiry without changing its columns; ok is false if
 // the key is absent or already expired. See Store.Touch.
 func (ss *Session) Touch(key []byte, expiresAt uint64) (uint64, bool) {
-	ss.h.Enter()
-	defer ss.h.Exit()
-	return ss.s.Touch(ss.worker, key, expiresAt)
+	return ss.write(key, nil, writeOp{kind: writeTouch, ttl: true, expiry: expiresAt})
 }
 
 // CasPut conditionally applies column modifications: the write succeeds
@@ -134,9 +120,7 @@ func (ss *Session) Touch(key []byte, expiresAt uint64) (uint64, bool) {
 // and returns the new version; mismatch changes nothing and returns the
 // current version with ok false. See Store.CasPut.
 func (ss *Session) CasPut(key []byte, expect uint64, puts []value.ColPut) (ver uint64, ok bool) {
-	ss.h.Enter()
-	defer ss.h.Exit()
-	return ss.s.CasPut(ss.worker, key, expect, puts)
+	return ss.write(key, puts, writeOp{kind: writeCAS, expect: expect})
 }
 
 // ErrNoBackend is returned by GetOrLoad when the store has no configured
@@ -186,20 +170,12 @@ func (ss *Session) GetValue(key []byte) (*value.Value, bool) {
 // tree pass, sharing border-node lock acquisitions between co-located keys
 // (§4.8 applied to writes) and encoding all log records under one log-
 // buffer lock. The returned versions (input order) live in the session's
-// scratch and are valid until the session's next batched operation.
-// Duplicate keys apply in input order; no inputs are retained.
+// scratch and are valid until the session's next write. Duplicate keys
+// apply in input order; no inputs are retained.
 func (ss *Session) PutBatchInto(keys [][]byte, puts [][]value.ColPut) []uint64 {
 	ss.h.Enter()
 	defer ss.h.Exit()
 	return ss.s.PutBatchInto(ss.worker, keys, puts, &ss.batch)
-}
-
-// PutBatch is PutBatchInto returning a fresh versions slice.
-func (ss *Session) PutBatch(keys [][]byte, puts [][]value.ColPut) []uint64 {
-	vers := ss.PutBatchInto(keys, puts)
-	out := make([]uint64, len(vers))
-	copy(out, vers)
-	return out
 }
 
 // Remove deletes key via this session's log.

@@ -17,12 +17,14 @@
 // t = min over logs of the log's maximum durable timestamp (§5) — all
 // without the global clock cache line every writer used to bounce.
 //
-// The write path mirrors the read path's batching and allocation
-// discipline: PutBatchInto applies a batch in tree order with one border-
-// node lock acquisition per run of co-located keys (§4.8), each put builds
-// exactly one packed value allocation (value.BuildAt), and log records are
-// encoded directly into the worker's double-buffered log (§5), so the
-// steady-state put pipeline allocates only the value itself.
+// Every write — Put, PutTTL, Touch, CasPut, a backend install, a batch —
+// is a descriptor run through one write path (write.go), which mirrors the
+// read path's batching and allocation discipline: one batched tree pass in
+// key order with one border-node lock acquisition per run of co-located
+// keys (§4.8), exactly one packed value allocation per put
+// (value.BuildTTLAt), and one chained append encoding the batch's records
+// directly into the worker's double-buffered log (§5), so the steady-state
+// put pipeline allocates only the value itself.
 package kvstore
 
 import (
@@ -155,6 +157,8 @@ type Store struct {
 	// loop marks a log only when it can TryLock the worker, proving no
 	// drawn-but-unappended version exists below the mark.
 	workerMu []paddedMutex
+	// spares[w] is worker w's Store-level write scratch; see spareScratch.
+	spares []spareScratch
 
 	ckptMu sync.Mutex // one checkpoint at a time
 
@@ -222,6 +226,7 @@ func Open(cfg Config) (*Store, error) {
 		clock:    newShardedClock(cfg.Workers),
 		cache:    cache.New(cfg.Workers, cfg.MaxBytes),
 		workerMu: make([]paddedMutex, cfg.Workers),
+		spares:   make([]spareScratch, cfg.Workers),
 		stop:     make(chan struct{}),
 	}
 	if s.fsys == nil {
@@ -735,43 +740,18 @@ func (s *Store) GetValue(key []byte) (*value.Value, bool) {
 	return v, true
 }
 
-// BatchScratch holds reusable state for GetBatchInto and PutBatchInto: the
-// result slices and the core tree's batch-ordering scratch. One scratch per
-// worker or connection makes steady-state batched reads and writes
-// allocation-free (beyond the packed values a put must build).
+// BatchScratch holds reusable state for GetBatchInto and the write path: the
+// lookup results, a batched write's per-key state, and the core tree's
+// batch-ordering scratch. One scratch per worker or connection makes
+// steady-state batched reads and writes allocation-free (beyond the packed
+// values a put must build). Lookup results stay valid until the next
+// GetBatchInto with the scratch, and PutBatchInto's versions until its next
+// write.
 type BatchScratch struct {
-	vals    []*value.Value
-	found   []bool
-	vers    []uint64
-	sizes   []int          // packed sizes of a put batch's new values (cache admission)
-	inserts []bool         // which batch entries executed against an absent base
-	prevs   []uint64       // replaced-value versions (wal chain links; 0 for inserts)
-	anchors []*value.Value // new values of cross-log handoff entries (nil otherwise)
-	core    core.BatchScratch
-}
-
-// GetBatch retrieves many keys at once, processing them in tree order to
-// share cache paths between descents (§4.8's PALM-style batching). Results
-// are in input order; cols == nil returns all columns. The caller must hold
-// an epoch pin.
-//
-//masstree:pinned
-func (s *Store) GetBatch(keys [][]byte, cols []int) (out [][][]byte, found []bool) {
-	var sc BatchScratch
-	vals, ok := s.GetBatchInto(keys, &sc)
-	return extractBatchCols(vals, ok, cols), ok
-}
-
-// extractBatchCols materializes per-key column sets from batched values;
-// shared by the allocating GetBatch wrappers.
-func extractBatchCols(vals []*value.Value, ok []bool, cols []int) [][][]byte {
-	out := make([][][]byte, len(vals))
-	for i, v := range vals {
-		if ok[i] {
-			out[i] = pickCols(v, cols)
-		}
-	}
-	return out
+	vals  []*value.Value
+	found []bool
+	w     writeBatch
+	core  core.BatchScratch
 }
 
 // GetBatchInto is the allocation-free batched lookup: values and found
@@ -822,316 +802,6 @@ func pickCols(v *value.Value, cols []int) [][]byte {
 	return AppendCols(make([][]byte, 0, len(cols)), v, cols)
 }
 
-// nextVersion draws key's next version from worker's clock. It runs under
-// the owning border node's lock: updates lift the clock past the replaced
-// value's version, inserts past every remove (see shardedClock).
-func (s *Store) nextVersion(worker int, old *value.Value) uint64 {
-	if old == nil {
-		return s.clock.tick(worker, s.clock.removeFloor.Load())
-	}
-	return s.clock.tick(worker, old.Version())
-}
-
-// expireBase implements the write-side half of lazy expiry, under the
-// owning border node's lock. An expired old value reads as absent, so a
-// write over it must behave like a write over an absent key: the new value
-// builds on a nil base (a partial-column put must not resurrect the dead
-// value's other columns) and is logged as an insert record, which replay
-// applies as a replacement (wal.OpInsert) so recovery rebuilds the same
-// columns the live store served. The physical old value still orders the
-// clock — an implicit remove's timestamp is drawn past its version and the
-// remove floor lifted, exactly like Remove — so the caller's subsequent
-// version draw (against the nil base, flooring on removeFloor) lands above
-// everything the dead value logged. Returns the base to build on.
-func (s *Store) expireBase(worker int, old *value.Value) *value.Value {
-	if old == nil || !expired(old) {
-		return old
-	}
-	s.clock.noteRemove(s.clock.tick(worker, old.Version()))
-	return nil
-}
-
-// anchorPuts materializes every column of nv as a ColPut slice, for logging
-// a column-complete chain-anchor record (cross-log handoffs, Touch). The
-// Data slices alias nv's immutable packed allocation; the log writer copies
-// them into its buffer. One slice allocation — the handoff path's second
-// alloc, pinned by TestHandoffAnchorAllocs.
-func anchorPuts(nv *value.Value) []value.ColPut {
-	puts := make([]value.ColPut, nv.NumCols())
-	for i := range puts {
-		puts[i] = value.ColPut{Col: i, Data: nv.Col(i)}
-	}
-	return puts
-}
-
-// Put applies the column modifications to key atomically, logging through
-// the given worker's log, and returns the new value's version. Neither puts
-// nor the Data slices are retained: both are copied into the packed value
-// and the log buffer.
-//
-// Logging chains the record to the replaced value's version (wal format
-// v2), with one exception: when the replaced value's version was stamped
-// through a different worker's log (base.Worker() != worker — a cross-log
-// handoff), the record is logged column-complete with prev == 0, anchoring
-// the key's chain in this log. No replay chain ever spans log files without
-// an anchor, so a vanished log is always detectable at recovery.
-func (s *Store) Put(worker int, key []byte, puts []value.ColPut) uint64 {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
-	}
-	var ver, prev uint64
-	var delta int64
-	var size int
-	var nv *value.Value
-	insert, handoff := false, false
-	s.tree.Update(key, func(old *value.Value) *value.Value {
-		base := s.expireBase(worker, old)
-		insert = base == nil
-		prev = base.Version() // nil-safe: 0 for absent keys
-		handoff = base != nil && base.Worker() != uint32(worker)
-		ver = s.nextVersion(worker, base)
-		nv = value.BuildAt(base, puts, ver, uint32(worker))
-		size = nv.Size()
-		delta = int64(size - old.Size())
-		return nv
-	})
-	if s.logs != nil {
-		switch {
-		case insert:
-			s.logs.Writer(worker).AppendInsert(ver, key, puts)
-		case handoff:
-			s.logs.Writer(worker).AppendPut(ver, 0, key, anchorPuts(nv))
-		default:
-			s.logs.Writer(worker).AppendPut(ver, prev, key, puts)
-		}
-	}
-	s.noteWrite(key)
-	s.cache.Account(worker, delta)
-	s.cache.NotePut(worker, key, size)
-	s.cache.HelpEnforce(s.evictKey)
-	return ver
-}
-
-// noteWrite tells the read-through tier a key now exists (negative-cache
-// invalidation); free when no backend is configured.
-func (s *Store) noteWrite(key []byte) {
-	if s.loader != nil {
-		s.loader.noteWrite(key)
-	}
-}
-
-// PutTTL is Put with an expiry deadline (unix nanoseconds; 0 behaves like
-// Put): after expiresAt the key reads as absent (lazy expiry on every get
-// and scan) and the maintenance loop's background sweep eventually removes
-// it physically — a clean drop that writes no WAL record, since the expiry
-// rides in the logged value itself (wal.OpPutTTL) and replay re-expires it.
-// A write over a lazily-expired value builds on an absent base (see
-// expireBase): dead columns are never resurrected.
-func (s *Store) PutTTL(worker int, key []byte, puts []value.ColPut, expiresAt uint64) uint64 {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
-	}
-	var ver, prev uint64
-	var delta int64
-	var size int
-	var nv *value.Value
-	insert, handoff := false, false
-	s.tree.Update(key, func(old *value.Value) *value.Value {
-		base := s.expireBase(worker, old)
-		insert = base == nil
-		prev = base.Version() // nil-safe: 0 for absent keys
-		handoff = base != nil && base.Worker() != uint32(worker)
-		ver = s.nextVersion(worker, base)
-		nv = value.BuildTTLAt(base, puts, ver, uint32(worker), expiresAt)
-		size = nv.Size()
-		delta = int64(size - old.Size())
-		return nv
-	})
-	if s.logs != nil {
-		switch {
-		case insert:
-			s.logs.Writer(worker).AppendInsertTTL(ver, key, puts, expiresAt)
-		case handoff:
-			// Cross-log handoff: anchor the chain in this log (see Put).
-			s.logs.Writer(worker).AppendPutTTL(ver, 0, key, anchorPuts(nv), expiresAt)
-		default:
-			s.logs.Writer(worker).AppendPutTTL(ver, prev, key, puts, expiresAt)
-		}
-	}
-	if expiresAt != 0 {
-		s.ttlUsed.Store(true)
-	}
-	s.noteWrite(key)
-	s.cache.Account(worker, delta)
-	s.cache.NotePut(worker, key, size)
-	s.cache.HelpEnforce(s.evictKey)
-	return ver
-}
-
-// Touch resets key's expiry (unix nanoseconds; 0 = never expire again)
-// without changing its columns, publishing a fresh value under a new
-// version. Returns the new version and ok false if the key is absent (or
-// already expired — touching the dead does not revive them).
-func (s *Store) Touch(worker int, key []byte, expiresAt uint64) (ver uint64, ok bool) {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
-	}
-	var delta int64
-	var size int
-	var nv *value.Value
-	s.tree.Apply(key, func(old *value.Value) *value.Value {
-		if old == nil || old.Expired(time.Now().UnixNano()) {
-			return nil // absent or already expired: decline
-		}
-		ok = true
-		ver = s.nextVersion(worker, old)
-		nv = value.BuildTTLAt(old, nil, ver, uint32(worker), expiresAt)
-		size = nv.Size()
-		delta = int64(size - old.Size())
-		return nv
-	})
-	if !ok {
-		return 0, false
-	}
-	if s.logs != nil {
-		// Log the touch column-complete with prev == 0 — a chain anchor:
-		// the record carries every column of the republished value, not an
-		// empty delta. A zero-column OpPutTTL would replay as an empty
-		// value if the log holding the key's original put vanished
-		// wholesale (the vanished-log hole) — recovering found-but-empty,
-		// worse than absent. Carrying the full value keeps Touch out of
-		// that hole entirely, and replay applies the anchor as a
-		// replacement regardless of what precedes it.
-		s.logs.Writer(worker).AppendPutTTL(ver, 0, key, anchorPuts(nv), expiresAt)
-	}
-	if expiresAt != 0 {
-		s.ttlUsed.Store(true)
-	}
-	s.cache.Account(worker, delta)
-	s.cache.NotePut(worker, key, size)
-	return ver, true
-}
-
-// CasPut is a versioned conditional Put (Deuteronomy-style latch-free
-// read-modify-write exposed through the API): the column modifications
-// apply only if key's current version equals expect, with expect == 0
-// meaning "key absent" (so expect 0 is an atomic create-if-absent). The
-// comparison runs under the owning border node's lock — the same lock the
-// write publishes under, shared with the batched put path — so no window
-// exists between check and write. On success it behaves exactly like Put
-// (logged as an ordinary put through worker's log) and returns the new
-// version with ok true; on mismatch nothing changes and it returns the
-// current version (0 if absent) with ok false, letting the caller re-read
-// and rebase. Neither puts nor their Data slices are retained.
-func (s *Store) CasPut(worker int, key []byte, expect uint64, puts []value.ColPut) (ver uint64, ok bool) {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
-	}
-	var cur, newVer, prev uint64
-	var delta int64
-	var size int
-	var nv *value.Value
-	insert, handoff := false, false
-	s.tree.Apply(key, func(old *value.Value) *value.Value {
-		// A lazily-expired value reads as absent everywhere, so CAS must
-		// see it as absent too: cur = 0, and expect == 0 (create-if-absent)
-		// succeeds over it instead of livelocking on a version no read can
-		// observe.
-		base := old
-		if old != nil && expired(old) {
-			base = nil
-		}
-		cur = base.Version() // Version is nil-safe: 0 for absent keys
-		if cur != expect {
-			return nil
-		}
-		ok = true
-		base = s.expireBase(worker, old)
-		insert = base == nil
-		prev = base.Version()
-		handoff = base != nil && base.Worker() != uint32(worker)
-		newVer = s.nextVersion(worker, base)
-		nv = value.BuildAt(base, puts, newVer, uint32(worker))
-		size = nv.Size()
-		delta = int64(size - old.Size())
-		return nv
-	})
-	if !ok {
-		return cur, false
-	}
-	if s.logs != nil {
-		switch {
-		case insert:
-			s.logs.Writer(worker).AppendInsert(newVer, key, puts)
-		case handoff:
-			// Cross-log handoff: anchor the chain in this log (see Put).
-			s.logs.Writer(worker).AppendPut(newVer, 0, key, anchorPuts(nv))
-		default:
-			s.logs.Writer(worker).AppendPut(newVer, prev, key, puts)
-		}
-	}
-	s.noteWrite(key)
-	s.cache.Account(worker, delta)
-	s.cache.NotePut(worker, key, size)
-	s.cache.HelpEnforce(s.evictKey)
-	return newVer, true
-}
-
-// installLoaded publishes a backend-loaded value for key: built on an
-// absent base (a load is by definition the key's whole upstream state),
-// versioned from the worker's clock, logged as an insert so replay
-// reconstructs it as a replacement, and cache-accounted like any put. A
-// racing real put wins — if a live value is already resident the install
-// declines and returns the winner, so a load can never clobber a write that
-// raced past it. Runs under the caller's epoch (see loader.install).
-func (s *Store) installLoaded(worker int, key []byte, cols [][]byte, expiresAt uint64) *value.Value {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
-	}
-	var out *value.Value
-	var ver uint64
-	var delta int64
-	var size int
-	var puts []value.ColPut
-	installed := false
-	s.tree.Apply(key, func(old *value.Value) *value.Value {
-		if old != nil && !expired(old) {
-			out = old // a concurrent put made the key live: it wins
-			return nil
-		}
-		base := s.expireBase(worker, old) // nil; orders the clock past the corpse
-		ver = s.nextVersion(worker, base)
-		puts = make([]value.ColPut, len(cols))
-		for i := range cols {
-			puts[i] = value.ColPut{Col: i, Data: cols[i]}
-		}
-		nv := value.BuildTTLAt(nil, puts, ver, uint32(worker), expiresAt)
-		out = nv
-		size = nv.Size()
-		delta = int64(size - old.Size())
-		installed = true
-		return nv
-	})
-	if !installed {
-		return out
-	}
-	if s.logs != nil {
-		s.logs.Writer(worker).AppendInsertTTL(ver, key, puts, expiresAt)
-	}
-	if expiresAt != 0 {
-		s.ttlUsed.Store(true)
-	}
-	s.cache.Account(worker, delta)
-	s.cache.NotePut(worker, key, size)
-	s.cache.HelpEnforce(s.evictKey)
-	return out
-}
-
 // lockWorker serializes worker's draw-to-append window; see workerMu.
 func (s *Store) lockWorker(worker int) *paddedMutex {
 	mu := &s.workerMu[worker%len(s.workerMu)]
@@ -1143,112 +813,6 @@ func (s *Store) lockWorker(worker int) *paddedMutex {
 type paddedMutex struct {
 	sync.Mutex
 	_ [56]byte
-}
-
-// PutSimple stores data as column 0 of key.
-func (s *Store) PutSimple(worker int, key, data []byte) uint64 {
-	return s.Put(worker, key, []value.ColPut{{Col: 0, Data: data}})
-}
-
-// PutBatchInto applies one put per key in a single batched tree pass
-// (§4.8's batching applied to writes): keys are processed in tree order,
-// runs of keys owned by the same border node execute under one lock
-// acquisition, and all log records are encoded under one log-buffer lock.
-// puts[i] lists key i's column modifications; the returned versions (one
-// per key, input order) live in sc and are valid until the next batched
-// call with the same scratch. Duplicate keys apply in input order.
-func (s *Store) PutBatchInto(worker int, keys [][]byte, puts [][]value.ColPut, sc *BatchScratch) []uint64 {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
-	}
-	n := len(keys)
-	if cap(sc.vers) < n {
-		sc.vers = make([]uint64, n)
-	}
-	if cap(sc.sizes) < n {
-		sc.sizes = make([]int, n)
-	}
-	sc.vers = sc.vers[:n]
-	sc.sizes = sc.sizes[:n]
-	if cap(sc.inserts) < n {
-		sc.inserts = make([]bool, n)
-	}
-	sc.inserts = sc.inserts[:n]
-	if cap(sc.prevs) < n {
-		sc.prevs = make([]uint64, n)
-	}
-	sc.prevs = sc.prevs[:n]
-	if cap(sc.anchors) < n {
-		sc.anchors = make([]*value.Value, n)
-	}
-	sc.anchors = sc.anchors[:n]
-	var delta int64
-	handoffs := false
-	s.tree.PutBatchInto(keys, &sc.core, func(i int, old *value.Value) *value.Value {
-		base := s.expireBase(worker, old)
-		sc.inserts[i] = base == nil
-		sc.prevs[i] = base.Version() // nil-safe: 0 for absent keys
-		ver := s.nextVersion(worker, base)
-		sc.vers[i] = ver
-		nv := value.BuildAt(base, puts[i], ver, uint32(worker))
-		sc.anchors[i] = nil
-		if base != nil && base.Worker() != uint32(worker) {
-			// Cross-log handoff: this entry must be logged column-complete
-			// with prev == 0 (see Put), so remember the built value.
-			sc.anchors[i] = nv
-			handoffs = true
-		}
-		sc.sizes[i] = nv.Size()
-		delta += int64(nv.Size() - old.Size())
-		return nv
-	})
-	if s.logs != nil {
-		if !handoffs {
-			s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.inserts)
-		} else {
-			// Handoff entries swap in column-complete anchor puts, so the
-			// batch falls back to per-record appends. Intra-batch record
-			// order is preserved; replay orders a key's records by version
-			// anyway, and all records land before workerMu is released, so
-			// the log's durable-timestamp claim stays sound.
-			w := s.logs.Writer(worker)
-			for i := range keys {
-				switch {
-				case sc.inserts[i]:
-					w.AppendInsert(sc.vers[i], keys[i], puts[i])
-				case sc.anchors[i] != nil:
-					w.AppendPut(sc.vers[i], 0, keys[i], anchorPuts(sc.anchors[i]))
-				default:
-					w.AppendPut(sc.vers[i], sc.prevs[i], keys[i], puts[i])
-				}
-			}
-		}
-	}
-	if s.loader != nil {
-		for i := range keys {
-			s.loader.noteWrite(keys[i])
-		}
-	}
-	// One accounting add covers the whole batch; admissions stay per key.
-	s.cache.Account(worker, delta)
-	if s.cache.EvictionEnabled() {
-		for i := range keys {
-			s.cache.NotePut(worker, keys[i], sc.sizes[i])
-		}
-		s.cache.HelpEnforce(s.evictKey)
-	}
-	return sc.vers
-}
-
-// PutBatch is PutBatchInto with an internal scratch, returning a fresh
-// versions slice.
-func (s *Store) PutBatch(worker int, keys [][]byte, puts [][]value.ColPut) []uint64 {
-	var sc BatchScratch
-	vers := s.PutBatchInto(worker, keys, puts, &sc)
-	out := make([]uint64, len(vers))
-	copy(out, vers)
-	return out
 }
 
 // Remove deletes key, logging through the given worker's log.

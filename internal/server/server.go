@@ -60,7 +60,7 @@ type Server struct {
 	workers    int
 
 	// batchedGets counts OpGet requests served through the batched
-	// Session.GetBatch path (exported as the "batched_gets" stat);
+	// Session.GetBatchInto path (exported as the "batched_gets" stat);
 	// batchedPuts is its write-side twin for Session.PutBatchInto
 	// ("batched_puts"). erroredRequests counts requests answered with
 	// StatusError because they could not be decoded or executed — a

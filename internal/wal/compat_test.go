@@ -100,7 +100,7 @@ func TestMixedV1V2DirReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.AppendPut(20, 10, []byte("k"), []value.ColPut{{Col: 1, Data: []byte("new")}})
+	w.Append(&Record{TS: 20, Op: OpPut, Prev: 10, Key: []byte("k"), Puts: []value.ColPut{{Col: 1, Data: []byte("new")}}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +141,9 @@ func TestMissingLogDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Writer(0).AppendPut(1, 0, []byte("a"), []value.ColPut{{Col: 0, Data: []byte("v")}})
+	set.Writer(0).Append(&Record{TS: 1, Op: OpPut, Key: []byte("a"), Puts: []value.ColPut{{Col: 0, Data: []byte("v")}}})
 	// Worker 1 logs; worker 2 never does — its file exists but is empty.
-	set.Writer(1).AppendPut(2, 0, []byte("b"), []value.ColPut{{Col: 0, Data: []byte("v")}})
+	set.Writer(1).Append(&Record{TS: 2, Op: OpPut, Key: []byte("b"), Puts: []value.ColPut{{Col: 0, Data: []byte("v")}}})
 	if err := set.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -92,6 +92,20 @@ func (op Op) IsInsert() bool { return op == OpInsert || op == OpInsertTTL }
 // HasExpiry reports whether op's payload carries an expiry timestamp.
 func (op Op) HasExpiry() bool { return op == OpPutTTL || op == OpInsertTTL }
 
+// PutOp is the op a put record logs: an insert when the put executed
+// against an absent (or lazily-expired) base, carrying an expiry when ttl.
+func PutOp(insert, ttl bool) Op {
+	switch {
+	case insert && ttl:
+		return OpInsertTTL
+	case insert:
+		return OpInsert
+	case ttl:
+		return OpPutTTL
+	}
+	return OpPut
+}
+
 // HasPrev reports whether op's v2 payload carries a prev-version chain link.
 // Only the merge ops need one: inserts replace their base by definition, so
 // they are chain anchors without spending the eight bytes.

@@ -56,7 +56,7 @@ func TestFlushRetryBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w.AppendPut(1, 0, []byte("a"), nil)
+	w.Append(&Record{TS: 1, Op: OpPut, Key: []byte("a")})
 	fsys.failing.Store(true)
 	if err := w.Flush(); err == nil {
 		t.Fatal("expected injected write failure")
@@ -80,7 +80,7 @@ func TestFlushRetryBackoff(t *testing.T) {
 	// The device heals, but the backoff window is still pending: a background
 	// flush must skip the attempt (deterministic — retryAt is ~100ms out).
 	fsys.failing.Store(false)
-	w.AppendPut(2, 0, []byte("b"), nil)
+	w.Append(&Record{TS: 2, Op: OpPut, Key: []byte("b")})
 	w.flushBackground()
 	if errs, _ := w.FlushStats(); errs != 2 {
 		t.Fatalf("background flush ran inside the backoff window (errs=%d)", errs)
@@ -139,7 +139,7 @@ func TestFlushRetryBackoffCap(t *testing.T) {
 		fsys.failing.Store(false)
 		w.Close()
 	}()
-	w.AppendPut(1, 0, []byte("a"), nil)
+	w.Append(&Record{TS: 1, Op: OpPut, Key: []byte("a")})
 	fsys.failing.Store(true)
 	for i := 0; i < 12; i++ {
 		if err := w.Flush(); err == nil {

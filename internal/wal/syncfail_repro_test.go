@@ -18,7 +18,7 @@ func TestSyncFailureThenRecover(t *testing.T) {
 	}
 	defer w.Close()
 
-	w.AppendPut(1, 0, []byte("a"), nil)
+	w.Append(&Record{TS: 1, Op: OpPut, Key: []byte("a")})
 	// Replace the fd with a read-only one so Write succeeds? Simpler: make
 	// Sync fail by using a file opened read... instead swap f for one where
 	// Write works but Sync fails: use /dev/null? Sync on /dev/null succeeds.
@@ -37,7 +37,7 @@ func TestSyncFailureThenRecover(t *testing.T) {
 	w.f = real
 
 	// Subsequent records must survive into the real log.
-	w.AppendPut(2, 0, []byte("b"), nil)
+	w.Append(&Record{TS: 2, Op: OpPut, Key: []byte("b")})
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}

@@ -235,40 +235,56 @@ func TestReplayOrderPerKey(t *testing.T) {
 	}
 }
 
-// TestAppendPutBatchRoundTrip checks the single-lock batched append encodes
-// records identically to one-at-a-time appends.
+// TestAppendPutBatchRoundTrip checks the single-lock batched append: each
+// entry's op, prev, expiry and columns round-trip, entries land in input
+// order, and an entry with op 0 (a declined write) is skipped.
 func TestAppendPutBatchRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	set, _ := OpenSet(dir, 1, 1, false, time.Hour)
-	keys := [][]byte{[]byte("ka"), []byte("kb"), []byte("kc")}
+	keys := [][]byte{[]byte("ka"), []byte("kb"), []byte("kx"), []byte("kc"), []byte("kd")}
 	puts := [][]value.ColPut{
 		{{Col: 0, Data: []byte("va")}},
 		{{Col: 1, Data: []byte("vb")}, {Col: 0, Data: nil}},
+		{{Col: 0, Data: []byte("skipped")}},
 		{{Col: 0, Data: []byte("vc")}},
+		{{Col: 2, Data: []byte("vd")}},
 	}
-	ts := []uint64{3, 1, 2}
-	set.Writer(0).AppendPutBatch(keys, puts, ts, []uint64{5, 0, 6}, []bool{false, true, false})
+	ts := []uint64{3, 1, 9, 4, 2}
+	prev := []uint64{2, 0, 8, 1, 0}
+	ops := []Op{OpPut, OpInsert, 0, OpPutTTL, OpInsertTTL}
+	expiry := []uint64{0, 0, 0, 77, 88}
+	set.Writer(0).AppendPutBatch(keys, puts, ts, prev, ops, expiry)
 	set.Close()
 	res, err := RecoverDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != 3 {
-		t.Fatalf("got %d records, want 3", len(res.Records))
+	if len(res.Records) != 4 {
+		t.Fatalf("got %d records, want 4", len(res.Records))
 	}
-	// Cutoff = max TS in the log (3), even though the final record is TS 2.
-	if res.Cutoff != 3 {
-		t.Fatalf("cutoff = %d, want per-log max 3", res.Cutoff)
+	// Cutoff = max TS in the log (4), even though the final record is TS 2;
+	// the skipped entry's TS 9 never landed.
+	if res.Cutoff != 4 {
+		t.Fatalf("cutoff = %d, want per-log max 4", res.Cutoff)
 	}
-	wantOps := []Op{OpPut, OpInsert, OpPut}
-	for i, r := range res.Records {
-		if r.TS != ts[i] || string(r.Key) != string(keys[i]) || len(r.Puts) != len(puts[i]) {
-			t.Fatalf("record %d mismatch: %+v", i, r)
+	for j, i := range []int{0, 1, 3, 4} {
+		r := res.Records[j]
+		if r.TS != ts[i] || string(r.Key) != string(keys[i]) || !reflect.DeepEqual(colsOf(r.Puts), colsOf(puts[i])) {
+			t.Fatalf("record %d mismatch: %+v", j, r)
 		}
-		if r.Op != wantOps[i] {
-			t.Fatalf("record %d op = %d, want %d (insert flag)", i, r.Op, wantOps[i])
+		if r.Op != ops[i] || r.Prev != prev[i] || r.Expiry != expiry[i] {
+			t.Fatalf("record %d: op %d prev %d expiry %d, want %d %d %d", j, r.Op, r.Prev, r.Expiry, ops[i], prev[i], expiry[i])
 		}
 	}
+}
+
+// colsOf lists the column numbers of puts.
+func colsOf(puts []value.ColPut) []int {
+	var cols []int
+	for _, p := range puts {
+		cols = append(cols, p.Col)
+	}
+	return cols
 }
 
 // TestFlushErrorRecorded proves a failed flush is not dropped on the floor:
@@ -278,7 +294,7 @@ func TestFlushErrorRecorded(t *testing.T) {
 	set, _ := OpenSet(dir, 1, 1, false, time.Hour)
 	w := set.Writer(0)
 	w.f.Close() // sabotage the file: the next flush's write must fail
-	w.AppendPut(1, 0, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("v")}})
+	w.Append(&Record{TS: 1, Op: OpPut, Key: []byte("k"), Puts: []value.ColPut{{Col: 0, Data: []byte("v")}}})
 	if err := w.Flush(); err == nil {
 		t.Fatal("flush on a closed file should fail")
 	}
@@ -306,17 +322,17 @@ func TestAppendAllocFree(t *testing.T) {
 	// Warm both halves of the double buffer past the measured volume.
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 300; i++ {
-			w.AppendPut(uint64(i), 0, key, puts)
+			w.Append(&Record{TS: uint64(i), Op: OpPut, Key: key, Puts: puts})
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		w.AppendPut(7, 0, key, puts)
+		w.Append(&Record{TS: 7, Op: OpPut, Key: key, Puts: puts})
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendPut allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("Append allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -327,12 +343,12 @@ func TestFlushFailureRetainsRecords(t *testing.T) {
 	dir := t.TempDir()
 	set, _ := OpenSet(dir, 1, 1, false, time.Hour)
 	w := set.Writer(0)
-	w.AppendPut(1, 0, []byte("kept"), []value.ColPut{{Col: 0, Data: []byte("v1")}})
+	w.Append(&Record{TS: 1, Op: OpPut, Key: []byte("kept"), Puts: []value.ColPut{{Col: 0, Data: []byte("v1")}}})
 	w.f.Close() // device "fails"
 	if err := w.Flush(); err == nil {
 		t.Fatal("flush on a closed file should fail")
 	}
-	w.AppendPut(2, 0, []byte("later"), []value.ColPut{{Col: 0, Data: []byte("v2")}})
+	w.Append(&Record{TS: 2, Op: OpPut, Key: []byte("later"), Puts: []value.ColPut{{Col: 0, Data: []byte("v2")}}})
 	if err := w.openFile(true); err != nil { // device "recovers"
 		t.Fatal(err)
 	}
@@ -361,7 +377,7 @@ func TestAppendAllocFreeAcrossFlushes(t *testing.T) {
 	puts := []value.ColPut{{Col: 0, Data: []byte("alloc-flush-column-data")}}
 	for round := 0; round < 2; round++ { // warm both buffer halves
 		for i := 0; i < 150; i++ {
-			w.AppendPut(uint64(i), 0, key, puts)
+			w.Append(&Record{TS: uint64(i), Op: OpPut, Key: key, Puts: puts})
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
@@ -369,7 +385,7 @@ func TestAppendAllocFreeAcrossFlushes(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 100; i++ {
-			w.AppendPut(7, 0, key, puts)
+			w.Append(&Record{TS: 7, Op: OpPut, Key: key, Puts: puts})
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)

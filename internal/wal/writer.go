@@ -176,70 +176,27 @@ func (w *Writer) kickIfBig(n int) {
 	}
 }
 
-// AppendPut queues a put record, encoding it directly into the worker-owned
-// log buffer — no intermediate Record or payload allocation. It does not
-// block on storage; durability arrives with the next flush (group commit).
-//
-// prev is the version of the value the put was applied over, read under the
-// same border-lock critical section that drew ts. Pass prev == 0 only for a
-// chain anchor: a record whose puts carry every column of the value it
-// published, so replay can apply it as a replacement (see Record.Prev).
-func (w *Writer) AppendPut(ts, prev uint64, key []byte, puts []value.ColPut) {
-	w.mu.Lock()
-	w.buf = appendRecord(w.buf, ts, prev, OpPut, key, puts, 0)
-	n := len(w.buf)
-	w.mu.Unlock()
-	w.kickIfBig(n)
-}
-
-// AppendPutTTL queues a put record carrying an expiry timestamp (see
-// OpPutTTL). prev is as in AppendPut; Touch logs through here with prev == 0
-// and the republished value's full column set, so the record is a chain
-// anchor and stands alone at replay.
-func (w *Writer) AppendPutTTL(ts, prev uint64, key []byte, puts []value.ColPut, expiry uint64) {
-	w.mu.Lock()
-	w.buf = appendRecord(w.buf, ts, prev, OpPutTTL, key, puts, expiry)
-	n := len(w.buf)
-	w.mu.Unlock()
-	w.kickIfBig(n)
-}
-
-// AppendInsert queues an insert record: a put that executed against an
-// absent or lazily-expired base and must replay as a replacement (see
-// OpInsert). Inserts are chain anchors by op and carry no prev link.
-func (w *Writer) AppendInsert(ts uint64, key []byte, puts []value.ColPut) {
-	w.mu.Lock()
-	w.buf = appendRecord(w.buf, ts, 0, OpInsert, key, puts, 0)
-	n := len(w.buf)
-	w.mu.Unlock()
-	w.kickIfBig(n)
-}
-
-// AppendInsertTTL is AppendInsert with an expiry timestamp.
-func (w *Writer) AppendInsertTTL(ts uint64, key []byte, puts []value.ColPut, expiry uint64) {
-	w.mu.Lock()
-	w.buf = appendRecord(w.buf, ts, 0, OpInsertTTL, key, puts, expiry)
-	n := len(w.buf)
-	w.mu.Unlock()
-	w.kickIfBig(n)
-}
-
 // AppendPutBatch queues one put record per key under a single buffer-lock
-// acquisition — the logging counterpart of the tree's batched put. keys,
-// puts, ts, prev, and insert are parallel arrays (insert may be nil: all
-// updates); records are encoded in input order, so a key's records keep
-// their version order within this worker's log. insert[i] logs key i as
-// OpInsert (built on an absent base; replays as a replacement); prev[i] is
-// as in AppendPut and is ignored for inserts.
-func (w *Writer) AppendPutBatch(keys [][]byte, puts [][]value.ColPut, ts, prev []uint64, insert []bool) {
+// acquisition, encoding each directly into the worker-owned log buffer — no
+// intermediate Record or payload allocation. It does not block on storage;
+// durability arrives with the next flush (group commit). keys, puts, ts,
+// prev, ops and expiry are parallel arrays; records are encoded in input
+// order, so a key's records keep their version order within this worker's
+// log. ops[i] is key i's put op (OpPut, OpPutTTL, OpInsert or OpInsertTTL),
+// or 0 to skip the entry (a declined conditional write). expiry[i] is
+// written only for the TTL ops.
+//
+// prev[i] is the version of the value the put was applied over, read under
+// the same border-lock critical section that drew ts[i]; it is written only
+// for OpPut/OpPutTTL. Pass prev == 0 there only for a chain anchor: a record
+// whose puts carry every column of the value it published, so replay can
+// apply it as a replacement (see Record.Prev).
+func (w *Writer) AppendPutBatch(keys [][]byte, puts [][]value.ColPut, ts, prev []uint64, ops []Op, expiry []uint64) {
 	w.mu.Lock()
 	for i := range keys {
-		op := OpPut
-		p := prev[i]
-		if insert != nil && insert[i] {
-			op, p = OpInsert, 0
+		if ops[i] != 0 {
+			w.buf = appendRecord(w.buf, ts[i], prev[i], ops[i], keys[i], puts[i], expiry[i])
 		}
-		w.buf = appendRecord(w.buf, ts[i], p, op, keys[i], puts[i], 0)
 	}
 	n := len(w.buf)
 	w.mu.Unlock()
@@ -264,9 +221,9 @@ func (w *Writer) AppendMark(ts uint64) {
 	w.mu.Unlock()
 }
 
-// Append queues r in the log buffer; see AppendPut. Retained for callers
-// that already hold a Record (marks, tests). r.Prev is written as given;
-// r.Unlinked is ignored — the writer always encodes format v2.
+// Append queues r in the log buffer; see AppendPutBatch. It serves callers
+// that already hold a Record (marks, tools, tests). r.Prev is written as
+// given; r.Unlinked is ignored — the writer always encodes format v2.
 func (w *Writer) Append(r *Record) {
 	w.mu.Lock()
 	w.buf = appendRecord(w.buf, r.TS, r.Prev, r.Op, r.Key, r.Puts, r.Expiry)
