@@ -12,13 +12,14 @@
 //	masstree-client -addr host:7500 del KEY
 //	masstree-client -addr host:7500 scan START N
 //
-// get prints the value's version; cas writes column 0 only if the key's
-// current version still equals EXPECTVER (0 = key must be absent), printing
-// either the new version or the conflicting current version — the version a
-// retry should expect after re-reading. putttl and touch are cache-mode
-// (protocol v2) operations: putttl stores a value that expires TTL_SECONDS
-// from now, touch resets an existing key's TTL without rewriting it, and
-// getorload reads through to the server's -backend tier on a miss.
+// Every command runs over one protocol-v2 connection. get prints the
+// value's version; cas writes column 0 only if the key's current version
+// still equals EXPECTVER (0 = key must be absent), printing either the new
+// version or the conflicting current version — the version a retry should
+// expect after re-reading. putttl and touch are cache-mode operations:
+// putttl stores a value that expires TTL_SECONDS from now, touch resets an
+// existing key's TTL without rewriting it, and getorload reads through to
+// the server's -backend tier on a miss.
 //
 // Passing -addrs with a comma-separated node list switches the client into
 // cluster mode: every keyed command routes to the key's consistent-hash
@@ -43,6 +44,19 @@ import (
 	"repro/internal/wire"
 )
 
+// keyed is the per-key surface *client.Conn and *cluster.Cluster share, so
+// one command switch serves both modes.
+type keyed interface {
+	Get(key []byte, cols []int) (vals [][]byte, ver uint64, ok bool, err error)
+	GetOrLoad(key []byte, cols []int) (vals [][]byte, ver uint64, stale, ok bool, err error)
+	Put(key []byte, puts []wire.ColData) (uint64, error)
+	PutSimple(key, data []byte) (uint64, error)
+	PutTTL(key []byte, puts []wire.ColData, ttlSeconds uint32) (uint64, error)
+	Touch(key []byte, ttlSeconds uint32) (ver uint64, ok bool, err error)
+	CasPut(key []byte, expect uint64, puts []wire.ColData) (ver uint64, ok bool, err error)
+	Remove(key []byte) (bool, error)
+}
+
 func main() {
 	var addr = flag.String("addr", "127.0.0.1:7500", "server address")
 	var addrs = flag.String("addrs", "", "comma-separated server addresses; with more than one, keys route by consistent hash (cluster mode)")
@@ -52,46 +66,53 @@ func main() {
 	if len(args) < 1 {
 		usage()
 	}
+
+	// Single-node mode holds one v2 connection; cluster mode routes each
+	// key to its consistent-hash owner, and get and put name that node.
+	var (
+		kv   keyed
+		conn *client.Conn
+		cl   *cluster.Cluster
+		err  error
+	)
 	if *addrs != "" {
-		runCluster(strings.Split(*addrs, ","), args, *jsonOut)
-		return
+		cl, err = cluster.New(cluster.Config{Addrs: strings.Split(*addrs, ",")})
+		check(err)
+		defer cl.Close()
+		kv = cl
+	} else {
+		conn, err = client.DialConn(*addr)
+		check(err)
+		defer conn.Close()
+		kv = conn
 	}
-	c, err := client.Dial(*addr)
-	if err != nil {
-		log.Fatalf("masstree-client: %v", err)
+	node := func(format string, key []byte) string {
+		if cl == nil {
+			return ""
+		}
+		return fmt.Sprintf(format, cl.Owner(key))
 	}
-	defer c.Close()
 
 	switch args[0] {
 	case "get":
 		if len(args) < 2 {
 			usage()
 		}
-		var cols []int
-		for _, a := range args[2:] {
-			n, err := strconv.Atoi(a)
-			if err != nil {
-				log.Fatalf("masstree-client: bad column %q", a)
-			}
-			cols = append(cols, n)
-		}
-		vals, ver, ok, err := c.GetVer([]byte(args[1]), cols)
+		vals, ver, ok, err := kv.Get([]byte(args[1]), parseCols(args[2:]))
 		check(err)
 		if !ok {
 			fmt.Println("(not found)")
 			os.Exit(1)
 		}
-		fmt.Printf("version %d\n", ver)
-		for i, v := range vals {
-			fmt.Printf("col %d: %q\n", i, v)
-		}
+		fmt.Printf("version %d%s\n", ver, node(" (node %d)", []byte(args[1])))
+		printCols(vals)
 	case "put":
 		if len(args) != 3 {
 			usage()
 		}
-		ver, err := c.PutSimple([]byte(args[1]), []byte(args[2]))
+		ver, err := kv.PutSimple([]byte(args[1]), []byte(args[2]))
 		check(err)
-		fmt.Printf("ok (version %d)\n", ver)
+		fmt.Printf("ok (version %d%s)\n", ver, node(", node %d", []byte(args[1])))
 	case "putcol":
 		if len(args) < 4 || len(args)%2 != 0 {
 			usage()
@@ -104,9 +125,9 @@ func main() {
 			}
 			puts = append(puts, wire.ColData{Col: col, Data: []byte(args[i+1])})
 		}
-		ver, err := c.Put([]byte(args[1]), puts)
+		ver, err := kv.Put([]byte(args[1]), puts)
 		check(err)
-		fmt.Printf("ok (version %d)\n", ver)
+		fmt.Printf("ok (version %d%s)\n", ver, node(", node %d", []byte(args[1])))
 	case "cas":
 		if len(args) != 4 {
 			usage()
@@ -115,7 +136,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("masstree-client: bad expected version %q", args[2])
 		}
-		ver, ok, err := c.CasPut([]byte(args[1]), expect,
+		ver, ok, err := kv.CasPut([]byte(args[1]), expect,
 			[]wire.ColData{{Col: 0, Data: []byte(args[3])}})
 		check(err)
 		if !ok {
@@ -128,166 +149,7 @@ func main() {
 			usage()
 		}
 		ttl := parseTTL(args[3])
-		conn := dialV2(*addr)
-		defer conn.Close()
-		ver, err := conn.PutSimpleTTL([]byte(args[1]), []byte(args[2]), ttl)
-		check(err)
-		fmt.Printf("ok (version %d, ttl %ds)\n", ver, ttl)
-	case "touch":
-		if len(args) != 3 {
-			usage()
-		}
-		ttl := parseTTL(args[2])
-		conn := dialV2(*addr)
-		defer conn.Close()
-		ver, ok, err := conn.Touch([]byte(args[1]), ttl)
-		check(err)
-		if !ok {
-			fmt.Println("(not found or expired)")
-			os.Exit(1)
-		}
-		fmt.Printf("ok (version %d, ttl %ds)\n", ver, ttl)
-	case "getorload":
-		if len(args) < 2 {
-			usage()
-		}
-		var cols []int
-		for _, a := range args[2:] {
-			n, err := strconv.Atoi(a)
-			if err != nil {
-				log.Fatalf("masstree-client: bad column %q", a)
-			}
-			cols = append(cols, n)
-		}
-		conn := dialV2(*addr)
-		defer conn.Close()
-		vals, ver, stale, ok, err := conn.GetOrLoad([]byte(args[1]), cols)
-		check(err)
-		if !ok {
-			fmt.Println("(not found)")
-			os.Exit(1)
-		}
-		if stale {
-			fmt.Printf("version %d (STALE: backend unreachable, value past its TTL)\n", ver)
-		} else {
-			fmt.Printf("version %d\n", ver)
-		}
-		for i, v := range vals {
-			fmt.Printf("col %d: %q\n", i, v)
-		}
-	case "del":
-		if len(args) != 2 {
-			usage()
-		}
-		existed, err := c.Remove([]byte(args[1]))
-		check(err)
-		fmt.Println("removed:", existed)
-	case "scan":
-		if len(args) != 3 {
-			usage()
-		}
-		n, err := strconv.Atoi(args[2])
-		check(err)
-		pairs, err := c.GetRange([]byte(args[1]), n, nil)
-		check(err)
-		for _, p := range pairs {
-			fmt.Printf("%q: %q\n", p.Key, p.Cols)
-		}
-	case "stats":
-		// Dial v2: flush_last_error (the one string-valued stat) is only
-		// served on v2 connections, where clients are known to handle it.
-		conn := dialV2(*addr)
-		defer conn.Close()
-		stats, err := conn.StatsRaw()
-		check(err)
-		printStats(stats, *jsonOut)
-	default:
-		usage()
-	}
-}
-
-// runCluster serves the key-routed subset of commands over a cluster.Cluster:
-// each key is served by its consistent-hash owner, and stats aggregates
-// numeric counters across every reachable node. scan is refused — a range
-// query spans shards and the cluster layer does not merge ranges.
-func runCluster(addrs []string, args []string, jsonOut bool) {
-	cl, err := cluster.New(cluster.Config{Addrs: addrs})
-	if err != nil {
-		log.Fatalf("masstree-client: %v", err)
-	}
-	defer cl.Close()
-
-	parseCols := func(raw []string) []int {
-		var cols []int
-		for _, a := range raw {
-			n, err := strconv.Atoi(a)
-			if err != nil {
-				log.Fatalf("masstree-client: bad column %q", a)
-			}
-			cols = append(cols, n)
-		}
-		return cols
-	}
-
-	switch args[0] {
-	case "get":
-		if len(args) < 2 {
-			usage()
-		}
-		vals, ver, ok, err := cl.Get([]byte(args[1]), parseCols(args[2:]))
-		check(err)
-		if !ok {
-			fmt.Println("(not found)")
-			os.Exit(1)
-		}
-		fmt.Printf("version %d (node %d)\n", ver, cl.Owner([]byte(args[1])))
-		for i, v := range vals {
-			fmt.Printf("col %d: %q\n", i, v)
-		}
-	case "put":
-		if len(args) != 3 {
-			usage()
-		}
-		ver, err := cl.PutSimple([]byte(args[1]), []byte(args[2]))
-		check(err)
-		fmt.Printf("ok (version %d, node %d)\n", ver, cl.Owner([]byte(args[1])))
-	case "putcol":
-		if len(args) < 4 || len(args)%2 != 0 {
-			usage()
-		}
-		var puts []wire.ColData
-		for i := 2; i < len(args); i += 2 {
-			col, err := strconv.Atoi(args[i])
-			if err != nil {
-				log.Fatalf("masstree-client: bad column %q", args[i])
-			}
-			puts = append(puts, wire.ColData{Col: col, Data: []byte(args[i+1])})
-		}
-		ver, err := cl.Put([]byte(args[1]), puts)
-		check(err)
-		fmt.Printf("ok (version %d, node %d)\n", ver, cl.Owner([]byte(args[1])))
-	case "cas":
-		if len(args) != 4 {
-			usage()
-		}
-		expect, err := strconv.ParseUint(args[2], 10, 64)
-		if err != nil {
-			log.Fatalf("masstree-client: bad expected version %q", args[2])
-		}
-		ver, ok, err := cl.CasPut([]byte(args[1]), expect,
-			[]wire.ColData{{Col: 0, Data: []byte(args[3])}})
-		check(err)
-		if !ok {
-			fmt.Printf("conflict (current version %d)\n", ver)
-			os.Exit(1)
-		}
-		fmt.Printf("ok (version %d)\n", ver)
-	case "putttl":
-		if len(args) != 4 {
-			usage()
-		}
-		ttl := parseTTL(args[3])
-		ver, err := cl.PutTTL([]byte(args[1]),
+		ver, err := kv.PutTTL([]byte(args[1]),
 			[]wire.ColData{{Col: 0, Data: []byte(args[2])}}, ttl)
 		check(err)
 		fmt.Printf("ok (version %d, ttl %ds)\n", ver, ttl)
@@ -296,7 +158,7 @@ func runCluster(addrs []string, args []string, jsonOut bool) {
 			usage()
 		}
 		ttl := parseTTL(args[2])
-		ver, ok, err := cl.Touch([]byte(args[1]), ttl)
+		ver, ok, err := kv.Touch([]byte(args[1]), ttl)
 		check(err)
 		if !ok {
 			fmt.Println("(not found or expired)")
@@ -307,7 +169,7 @@ func runCluster(addrs []string, args []string, jsonOut bool) {
 		if len(args) < 2 {
 			usage()
 		}
-		vals, ver, stale, ok, err := cl.GetOrLoad([]byte(args[1]), parseCols(args[2:]))
+		vals, ver, stale, ok, err := kv.GetOrLoad([]byte(args[1]), parseCols(args[2:]))
 		check(err)
 		if !ok {
 			fmt.Println("(not found)")
@@ -318,28 +180,64 @@ func runCluster(addrs []string, args []string, jsonOut bool) {
 		} else {
 			fmt.Printf("version %d\n", ver)
 		}
-		for i, v := range vals {
-			fmt.Printf("col %d: %q\n", i, v)
-		}
+		printCols(vals)
 	case "del":
 		if len(args) != 2 {
 			usage()
 		}
-		existed, err := cl.Remove([]byte(args[1]))
+		existed, err := kv.Remove([]byte(args[1]))
 		check(err)
 		fmt.Println("removed:", existed)
-	case "stats":
-		agg, err := cl.StatsAggregate()
-		check(err)
-		stats := make(map[string]string, len(agg))
-		for name, v := range agg {
-			stats[name] = strconv.FormatInt(v, 10)
-		}
-		printStats(stats, jsonOut)
 	case "scan":
-		log.Fatalf("masstree-client: scan is not supported in cluster mode (a range spans shards); point -addr at one node")
+		if cl != nil {
+			log.Fatalf("masstree-client: scan is not supported in cluster mode (a range spans shards); point -addr at one node")
+		}
+		if len(args) != 3 {
+			usage()
+		}
+		n, err := strconv.Atoi(args[2])
+		check(err)
+		pairs, err := conn.GetRange([]byte(args[1]), n, nil)
+		check(err)
+		for _, p := range pairs {
+			fmt.Printf("%q: %q\n", p.Key, p.Cols)
+		}
+	case "stats":
+		var stats map[string]string
+		if cl != nil {
+			// Aggregated across every reachable node: numeric counters only.
+			agg, err := cl.StatsAggregate()
+			check(err)
+			stats = make(map[string]string, len(agg))
+			for name, v := range agg {
+				stats[name] = strconv.FormatInt(v, 10)
+			}
+		} else {
+			// Raw, so v2's string-valued flush_last_error shows too.
+			stats, err = conn.StatsRaw()
+			check(err)
+		}
+		printStats(stats, *jsonOut)
 	default:
 		usage()
+	}
+}
+
+func parseCols(raw []string) []int {
+	var cols []int
+	for _, a := range raw {
+		n, err := strconv.Atoi(a)
+		if err != nil {
+			log.Fatalf("masstree-client: bad column %q", a)
+		}
+		cols = append(cols, n)
+	}
+	return cols
+}
+
+func printCols(vals [][]byte) {
+	for i, v := range vals {
+		fmt.Printf("col %d: %q\n", i, v)
 	}
 }
 
@@ -430,14 +328,6 @@ func parseTTL(s string) uint32 {
 		log.Fatalf("masstree-client: bad ttl %q", s)
 	}
 	return uint32(n)
-}
-
-func dialV2(addr string) *client.Conn {
-	conn, err := client.DialConn(addr)
-	if err != nil {
-		log.Fatalf("masstree-client: %v", err)
-	}
-	return conn
 }
 
 func check(err error) {

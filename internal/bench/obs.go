@@ -59,9 +59,9 @@ func obsRoundTripRate(sc Scale, noObs bool) float64 {
 	if keys > 20_000 {
 		keys = 20_000 // round trips, not batches: keep the seed phase cheap
 	}
-	clients := make([]*client.Client, sc.Workers)
+	clients := make([]*client.Conn, sc.Workers)
 	for w := range clients {
-		c, err := client.Dial(srv.Addr().String())
+		c, err := client.DialConn(srv.Addr().String())
 		if err != nil {
 			panic(err)
 		}
@@ -90,7 +90,7 @@ func obsRoundTripRate(sc Scale, noObs bool) float64 {
 			if _, err := c.PutSimple(k, val); err != nil {
 				panic(err)
 			}
-		} else if _, _, err := c.Get(k, nil); err != nil {
+		} else if _, _, _, err := c.Get(k, nil); err != nil {
 			panic(err)
 		}
 	})

@@ -20,7 +20,7 @@ func BenchmarkServerPutRoundTrip(b *testing.B) {
 	const batch = 64
 
 	b.Run("put64", func(b *testing.B) {
-		c := startPipelineServer(b, nkeys)
+		c := startPipelineServer(b, nkeys, 1)
 		reqs := make([]wire.Request, batch)
 		for i := range reqs {
 			reqs[i] = wire.Request{Op: wire.OpPut, Key: pipelineKey(i * 13 % nkeys),
@@ -29,13 +29,7 @@ func BenchmarkServerPutRoundTrip(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			resps, err := c.DoReuse(reqs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(resps) != batch || resps[0].Status != wire.StatusOK {
-				b.Fatalf("bad responses: %d status %d", len(resps), resps[0].Status)
-			}
+			roundTrip(b, c, reqs)
 		}
 		reportPerRequest(b, batch)
 	})

@@ -1,3 +1,27 @@
+// Package client is the Go client library for the Masstree server. It
+// supports batched queries — many operations per network message — which §7
+// shows is vital for throughput on small-operation workloads.
+//
+// Conn speaks protocol v2 over one long-lived TCP connection: it is safe
+// for concurrent use and keeps many tagged batches in flight, so neither
+// side ever idles waiting for the other's round trip. Issue batches
+// asynchronously with Go and collect them with Wait:
+//
+//	conn, err := client.DialConn(addr, client.WithWindow(16))
+//	...
+//	p1 := conn.Go(batch1) // sent; does not wait for the response
+//	p2 := conn.Go(batch2) // pipelined behind batch1
+//	resps1, err := p1.Wait()
+//	...read resps1...
+//	p1.Release() // recycle decode buffers; resps1 invalid after this
+//	resps2, err := p2.Wait()
+//	...
+//
+// At window 1, Go/Wait/Release is the blocking one-batch-in-flight shape,
+// still allocation-free. Conn also exposes versioned conditional writes
+// (CasPut): every get returns the value's version, and a CasPut applies
+// only if the key's version still matches, enabling lock-free
+// read-modify-write across the network.
 package client
 
 import (
@@ -112,6 +136,11 @@ func (p *Pending) complete() {
 
 // DefaultWindow is the default bound on in-flight batches per Conn.
 const DefaultWindow = 16
+
+// maxRetainedScratch bounds the encode/decode scratch kept between calls;
+// one oversized batch doesn't pin its footprint for the connection's
+// lifetime.
+const maxRetainedScratch = 1 << 20
 
 var errConnClosed = errors.New("client: connection closed")
 

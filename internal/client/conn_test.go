@@ -228,3 +228,9 @@ func TestTimeoutIdleConnectionSurvives(t *testing.T) {
 		t.Fatalf("idle connection failed: %v", err)
 	}
 }
+
+func TestDialConnRefused(t *testing.T) {
+	if _, err := DialConn("127.0.0.1:1"); err == nil {
+		t.Fatal("expected connection error")
+	}
+}

@@ -27,7 +27,7 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 	// observed value was genuinely written for that key.
 	val := func(i, seq int) []byte { return []byte(fmt.Sprintf("%04d#%08d", i, seq)) }
 
-	seed, err := client.Dial(addr)
+	seed, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +42,13 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
-		wc, err := client.Dial(addr)
+		wc, err := client.DialConn(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer wc.Close()
 		wg.Add(1)
-		go func(wc *client.Client, w int) {
+		go func(wc *client.Conn, w int) {
 			defer wg.Done()
 			for seq := 1; !stop.Load(); seq++ {
 				i := (seq*7 + w*13) % nkeys
@@ -59,7 +59,7 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 		}(wc, w)
 	}
 
-	reader, err := client.Dial(addr)
+	reader, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 		for j := range reqs {
 			reqs[j] = wire.Request{Op: wire.OpGet, Key: key((round*batch + j*3) % nkeys)}
 		}
-		resps, err := reader.DoReuse(reqs)
+		resps, err := reader.Do(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := range reqs {
-		single, ok, err := seed.Get(reqs[j].Key, nil)
+		single, _, ok, err := seed.Get(reqs[j].Key, nil)
 		if err != nil || !ok {
 			t.Fatalf("per-key get %q: %v %v", reqs[j].Key, ok, err)
 		}
@@ -115,7 +115,7 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 // and checks nothing is clobbered before encoding.
 func TestMixedBatchResponseArenas(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, err := client.Dial(addr)
+	c, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,11 +136,7 @@ func TestGetOrLoadRejectedOnV1(t *testing.T) {
 	m := backend.NewMock(0)
 	m.Seed("k", backend.EncodeCols([][]byte{[]byte("v")}))
 	srv, addr := startBackendServer(t, kvstore.Config{}, m)
-	c, err := client.Dial(addr) // v1: no hello
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialV1(t, addr)
 	resps, err := c.Do([]wire.Request{
 		{Op: wire.OpGetOrLoad, Key: []byte("k")},
 		{Op: wire.OpPut, Key: []byte("p"), Puts: []wire.ColData{{Col: 0, Data: []byte("v")}}},

@@ -30,7 +30,7 @@ func TestIntegrationYCSBOverNetwork(t *testing.T) {
 
 	const records = 2000
 	// Load phase over the network, batched.
-	loader, err := client.Dial(addr)
+	loader, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestIntegrationYCSBOverNetwork(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := client.Dial(addr)
+			c, err := client.DialConn(addr)
 			if err != nil {
 				t.Error(err)
 				return
@@ -146,7 +146,7 @@ func TestIntegrationCheckpointUnderNetworkLoad(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := client.Dial(addr)
+			c, err := client.DialConn(addr)
 			if err != nil {
 				t.Error(err)
 				return
@@ -224,7 +224,7 @@ func TestIntegrationValueColumnsAtomicOverNetwork(t *testing.T) {
 	wg.Add(1)
 	go func() { // writer keeps both columns equal, updated atomically
 		defer wg.Done()
-		c, _ := client.Dial(addr)
+		c, _ := client.DialConn(addr)
 		defer c.Close()
 		for i := 1; ; i++ {
 			select {
@@ -240,10 +240,10 @@ func TestIntegrationValueColumnsAtomicOverNetwork(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, _ := client.Dial(addr)
+			c, _ := client.DialConn(addr)
 			defer c.Close()
 			for i := 0; i < 2000; i++ {
-				cols, ok, err := c.Get(key, nil)
+				cols, _, ok, err := c.Get(key, nil)
 				if err != nil || !ok {
 					t.Errorf("get failed: %v", err)
 					return

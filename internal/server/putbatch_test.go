@@ -17,7 +17,7 @@ import (
 // batched_puts stat proves the batched path served them.
 func TestBatchedPutsMatchPerKeyPuts(t *testing.T) {
 	srv, addr := startServer(t, t.TempDir())
-	c, err := client.Dial(addr)
+	c, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestBatchedPutsMatchPerKeyPuts(t *testing.T) {
 			reqs[j] = wire.Request{Op: wire.OpPut, Key: key(round*batch + j),
 				Puts: []wire.ColData{{Col: 0, Data: []byte(fmt.Sprintf("r%02d-j%02d", round, j))}}}
 		}
-		resps, err := c.DoReuse(reqs)
+		resps, err := c.Do(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestBatchedPutsMatchPerKeyPuts(t *testing.T) {
 				}
 			}
 		}
-		got, ok, err := c.Get(key(i), nil)
+		got, _, ok, err := c.Get(key(i), nil)
 		if err != nil || !ok {
 			t.Fatalf("get %q: %v %v", key(i), ok, err)
 		}
@@ -80,7 +80,7 @@ func TestBatchedPutsMatchPerKeyPuts(t *testing.T) {
 // values (the store must have copied the bytes out).
 func TestPutRunFrameAliasing(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, err := client.Dial(addr)
+	c, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +91,12 @@ func TestPutRunFrameAliasing(t *testing.T) {
 			reqs[j] = wire.Request{Op: wire.OpPut, Key: []byte(fmt.Sprintf("alias-%d", j)),
 				Puts: []wire.ColData{{Col: 0, Data: []byte(fmt.Sprintf("round%d-value%d", round, j))}}}
 		}
-		if _, err := c.DoReuse(reqs); err != nil {
+		if _, err := c.Do(reqs); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for j := range reqs {
-		got, ok, err := c.Get([]byte(fmt.Sprintf("alias-%d", j)), nil)
+		got, _, ok, err := c.Get([]byte(fmt.Sprintf("alias-%d", j)), nil)
 		if err != nil || !ok || string(got[0]) != fmt.Sprintf("round2-value%d", j) {
 			t.Fatalf("alias-%d = %q %v %v", j, got, ok, err)
 		}

@@ -72,7 +72,6 @@ type Server struct {
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
-	udp   []*udpListener
 	wg    sync.WaitGroup
 	done  atomic.Bool
 }
@@ -356,8 +355,8 @@ func (s *Server) serveV2(conn net.Conn, sess *kvstore.Session, r *bufio.Reader, 
 // consecutive OpGets (or OpPuts) of length >= minBatchRun are served
 // through the session's batched lookup (or batched put); everything else
 // executes one at a time. ttlOK admits the cache-mode operations
-// (OpPutTTL/OpTouch/OpGetOrLoad), which are v2 surface: the v1 and UDP paths
-// answer them with StatusError, leaving v1 semantics untouched.
+// (OpPutTTL/OpTouch/OpGetOrLoad), which are v2 surface: the v1 path answers
+// them with StatusError, leaving v1 semantics untouched.
 func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claimed int, sc *connScratch, ttlOK bool) {
 	if claimed < len(reqs) {
 		claimed = len(reqs)
@@ -617,12 +616,11 @@ func expiryFromTTL(ttl uint32) uint64 {
 // pairs. flush_errors is the count of failed log flushes (background group
 // commits included); a non-zero value means acknowledged puts may not be
 // durable — on v2 connections flush_last_error carries the most recent
-// failure's text (the one non-numeric stat; it is withheld from v1 and UDP
-// responses because pre-existing v1 clients parse every stat as an integer
-// and would reject the whole response). bytes_live is the
-// accounted packed-value footprint; evictions, expirations, ghost_hits, and
-// admit_drops are the cache-mode counters (zero unless MaxBytes/TTLs are in
-// use).
+// failure's text (the one non-numeric stat; it is withheld from v1
+// responses because v1 clients parse every stat as an integer and would
+// reject the whole response). bytes_live is the accounted packed-value
+// footprint; evictions, expirations, ghost_hits, and admit_drops are the
+// cache-mode counters (zero unless MaxBytes/TTLs are in use).
 func (s *Server) statsResponse(v2 bool) wire.Response {
 	stats, _ := s.collectStats()
 	pairs := make([]wire.Pair, 0, len(stats)+1)
@@ -708,11 +706,6 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	s.mu.Lock()
-	for _, l := range s.udp {
-		l.conn.Close() // datagram service has no drain: no connection state
-	}
-	s.mu.Unlock()
 	drained := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -732,8 +725,7 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 	return false
 }
 
-// Close stops accepting, closes all connections and UDP sockets, and waits
-// for handlers.
+// Close stops accepting, closes all connections, and waits for handlers.
 func (s *Server) Close() error {
 	s.done.Store(true)
 	var err error
@@ -743,9 +735,6 @@ func (s *Server) Close() error {
 	s.mu.Lock()
 	for c := range s.conns {
 		c.Close()
-	}
-	for _, l := range s.udp {
-		l.conn.Close()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()

@@ -36,7 +36,7 @@ func startServer(t *testing.T, dir string) (*Server, string) {
 
 func TestEndToEnd(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, err := client.Dial(addr)
+	c, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,25 +45,25 @@ func TestEndToEnd(t *testing.T) {
 	if _, err := c.PutSimple([]byte("hello"), []byte("world")); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := c.Get([]byte("hello"), nil)
+	got, _, ok, err := c.Get([]byte("hello"), nil)
 	if err != nil || !ok || string(got[0]) != "world" {
 		t.Fatalf("get: %q %v %v", got, ok, err)
 	}
-	if _, ok, _ := c.Get([]byte("missing"), nil); ok {
+	if _, _, ok, _ := c.Get([]byte("missing"), nil); ok {
 		t.Fatal("phantom key")
 	}
 	existed, err := c.Remove([]byte("hello"))
 	if err != nil || !existed {
 		t.Fatalf("remove: %v %v", existed, err)
 	}
-	if _, ok, _ := c.Get([]byte("hello"), nil); ok {
+	if _, _, ok, _ := c.Get([]byte("hello"), nil); ok {
 		t.Fatal("key survived remove")
 	}
 }
 
 func TestBatchedQueries(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, _ := client.Dial(addr)
+	c, _ := client.DialConn(addr)
 	defer c.Close()
 
 	const batch = 100
@@ -107,7 +107,7 @@ func TestBatchedQueries(t *testing.T) {
 
 func TestRangeOverNetwork(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, _ := client.Dial(addr)
+	c, _ := client.DialConn(addr)
 	defer c.Close()
 	for i := 0; i < 30; i++ {
 		c.Put([]byte(fmt.Sprintf("k%03d", i)), []wire.ColData{
@@ -137,7 +137,7 @@ func TestManyConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			c, err := client.Dial(addr)
+			c, err := client.DialConn(addr)
 			if err != nil {
 				t.Error(err)
 				return
@@ -152,7 +152,7 @@ func TestManyConcurrentClients(t *testing.T) {
 			}
 			for i := 0; i < perClient; i++ {
 				k := []byte(fmt.Sprintf("c%d-%04d", ci, i))
-				got, ok, err := c.Get(k, nil)
+				got, _, ok, err := c.Get(k, nil)
 				if err != nil || !ok || !bytes.Equal(got[0], k) {
 					t.Errorf("get %q: %v %v %v", k, got, ok, err)
 					return
@@ -173,7 +173,7 @@ func TestServerPersistsThroughRestart(t *testing.T) {
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	c, _ := client.Dial(srv.Addr().String())
+	c, _ := client.DialConn(srv.Addr().String())
 	for i := 0; i < 100; i++ {
 		c.PutSimple([]byte(fmt.Sprintf("p%03d", i)), []byte("v"))
 	}
@@ -193,7 +193,7 @@ func TestServerPersistsThroughRestart(t *testing.T) {
 
 func TestMalformedInputDropsConnection(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, err := client.Dial(addr)
+	c, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestMalformedInputDropsConnection(t *testing.T) {
 
 func TestStatsOverNetwork(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, err := client.Dial(addr)
+	c, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

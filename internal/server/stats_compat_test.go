@@ -11,6 +11,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/kvstore"
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // TestFlushLastErrorOnlyOnV2 pins the stats compatibility rule: the one
@@ -50,11 +51,7 @@ func TestFlushLastErrorOnlyOnV2(t *testing.T) {
 	}
 
 	addr := srv.Addr().String()
-	v1, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
+	v1 := dialV1(t, addr)
 	rawV1, err := v1.StatsRaw()
 	if err != nil {
 		t.Fatal(err)
@@ -127,11 +124,7 @@ func TestStatsNumericWithBreakerTripped(t *testing.T) {
 		t.Fatalf("breaker not open: %+v", st.Backend)
 	}
 
-	v1, err := client.Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
+	v1 := dialV1(t, srv.Addr().String())
 	raw, err := v1.StatsRaw()
 	if err != nil {
 		t.Fatal(err)
@@ -170,17 +163,13 @@ func TestStatsHistogramKeysV1Numeric(t *testing.T) {
 		store.Close()
 	})
 
-	c, err := client.Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialV1(t, srv.Addr().String())
 	for i := 0; i < 8; i++ {
 		key := []byte("compat-key-" + strconv.Itoa(i))
-		if _, err := c.PutSimple(key, []byte("compat-value")); err != nil {
+		if _, err := c.Do([]wire.Request{{Op: wire.OpPut, Key: key, Puts: []wire.ColData{{Col: 0, Data: []byte("compat-value")}}}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.Get(key, nil); err != nil {
+		if _, err := c.Do([]wire.Request{{Op: wire.OpGet, Key: key}}); err != nil {
 			t.Fatal(err)
 		}
 	}

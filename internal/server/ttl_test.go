@@ -121,11 +121,7 @@ func TestTTLExpiresOverWire(t *testing.T) {
 // rest of its batch executes normally — v1 semantics untouched.
 func TestTTLRejectedOnV1(t *testing.T) {
 	srv, addr := startCacheServer(t, 1<<30)
-	c, err := client.Dial(addr) // v1: no hello
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialV1(t, addr)
 	resps, err := c.Do([]wire.Request{
 		{Op: wire.OpPut, Key: []byte("k"), Puts: []wire.ColData{{Col: 0, Data: []byte("v")}}},
 		{Op: wire.OpPutTTL, Key: []byte("t"), Puts: []wire.ColData{{Col: 0, Data: []byte("v")}}, TTL: 60},
@@ -145,7 +141,7 @@ func TestTTLRejectedOnV1(t *testing.T) {
 		t.Fatalf("errored_requests = %d, want 2", got)
 	}
 	// The rejected OpPutTTL must not have stored anything.
-	if _, ok, _ := c.Get([]byte("t"), nil); ok {
+	if resps, err := c.Do([]wire.Request{{Op: wire.OpGet, Key: []byte("t")}}); err == nil && resps[0].Status == wire.StatusOK {
 		t.Fatal("v1 OpPutTTL stored a value despite StatusError")
 	}
 }

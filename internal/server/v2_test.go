@@ -128,16 +128,13 @@ func TestConnOutOfOrderWait(t *testing.T) {
 	}
 }
 
-// The v1 client and a v2 Conn with window 1 must see identical responses
-// for the same operation sequence against identically seeded stores.
+// A raw v1 connection and a v2 Conn with window 1 must see identical
+// responses for the same operation sequence against identically seeded
+// stores.
 func TestInteropV1V2Identical(t *testing.T) {
 	_, addr1 := startServer(t, "")
 	_, addr2 := startServer(t, "")
-	v1c, err := client.Dial(addr1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1c.Close()
+	v1c := dialV1(t, addr1)
 	v2c := dialConn(t, addr2, client.WithWindow(1))
 
 	batches := [][]wire.Request{
@@ -203,12 +200,7 @@ func normalizeResps(in []wire.Response) []wire.Response {
 // first bad request onward is errored.
 func TestMalformedRequestSurvivesV1(t *testing.T) {
 	testMalformedRequestSurvives(t, func(t *testing.T, addr string) doer {
-		c, err := client.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
+		return dialV1(t, addr)
 	})
 }
 

@@ -26,11 +26,7 @@ func TestRequestRoundTripAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc = out
-		body, err := ParseFrame(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ParseRequests(body, &dec)
+		got, err := ParseRequests(enc[4:], &dec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +40,7 @@ func TestRequestRoundTripAllocFree(t *testing.T) {
 }
 
 // TestResponseRoundTripAllocFree is the response-side analogue, covering
-// the client's DoReuse decode path.
+// the client's Pending decode path.
 func TestResponseRoundTripAllocFree(t *testing.T) {
 	resps := []Response{
 		{Status: StatusOK, Cols: [][]byte{[]byte("col0"), []byte("col1")}},
@@ -64,11 +60,7 @@ func TestResponseRoundTripAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc = out
-		body, err := ParseFrame(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ParseResponses(body, &dec)
+		got, err := ParseResponses(enc[4:], &dec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +139,7 @@ func TestDecodeBufReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := ParseFrame(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ParseRequests(body, &dec)
+		got, err := ParseRequests(enc[4:], &dec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,8 +36,8 @@ const HelloSize = 9
 
 // v2FrameBit marks a length word as a v2 tagged-frame header. MaxMessage is
 // far below 1<<31, so the bit never collides with an honest v1 length — a
-// v1-only peer (the UDP path included) rejects a v2 frame as oversized
-// instead of misparsing the tag as a batch count.
+// v1-only peer rejects a v2 frame as oversized instead of misparsing the tag
+// as a batch count.
 const v2FrameBit = uint32(1) << 31
 
 // taggedHeaderSize is the v2 frame header: marked length plus tag.

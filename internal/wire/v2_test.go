@@ -41,8 +41,7 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 // A v1 decoder must reject hello and v2 frames outright (they decode as
-// impossible lengths), so a legacy endpoint — the UDP path included — can
-// never misparse v2 traffic.
+// impossible lengths), so a legacy endpoint can never misparse v2 traffic.
 func TestV1DecodersRejectV2(t *testing.T) {
 	tagged, err := AppendTaggedRequests(nil, 3, []Request{{Op: OpGet, Key: []byte("k")}})
 	if err != nil {
@@ -52,8 +51,9 @@ func TestV1DecodersRejectV2(t *testing.T) {
 		"hello":  AppendHello(nil, Version2),
 		"tagged": tagged,
 	} {
-		if _, err := ParseFrame(frame); err == nil {
-			t.Fatalf("ParseFrame accepted a %s frame", name)
+		var dec DecodeBuf
+		if _, err := ParseRequests(frame[4:], &dec); err == nil {
+			t.Fatalf("ParseRequests accepted a %s frame body", name)
 		}
 		if _, err := ReadRequests(bufio.NewReader(bytes.NewReader(frame))); err == nil {
 			t.Fatalf("ReadRequests accepted a %s frame", name)

@@ -157,7 +157,6 @@ var (
 	errShort        = errors.New("wire: short message")
 	errTrailingReq  = errors.New("wire: trailing request bytes")
 	errTrailingResp = errors.New("wire: trailing response bytes")
-	errFrameLen     = errors.New("wire: frame length mismatch")
 )
 
 // Minimum encoded sizes, used to sanity-bound batch counts before sizing
@@ -668,25 +667,6 @@ func ReadResponses(r *bufio.Reader) ([]Response, error) {
 		return nil, errTrailingResp
 	}
 	return resps, nil
-}
-
-// ParseFrame validates a self-contained frame (one UDP datagram: 4-byte
-// length header plus body filling the rest of the buffer) and returns the
-// body, aliasing b.
-//
-//masstree:noalloc
-func ParseFrame(b []byte) ([]byte, error) {
-	if len(b) < 4 {
-		return nil, errShort
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if n > MaxMessage {
-		return nil, errTooLarge
-	}
-	if int(n) != len(b)-4 {
-		return nil, errFrameLen
-	}
-	return b[4:], nil
 }
 
 // readFrameInto reads one length-prefixed frame body into *buf, growing it
