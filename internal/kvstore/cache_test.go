@@ -231,7 +231,6 @@ func TestCacheBoundZipfian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 
 	// One eviction batch is the enforce pass's low-watermark stride plus
 	// whatever lands between an overshoot probe and the wakeup; allow the
@@ -268,6 +267,12 @@ func TestCacheBoundZipfian(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// Stop the maintenance loop before reading the totals: an enforce pass
+	// still evicting after the stats read would make the walk below see
+	// fewer bytes than the stats report.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	st := s.CacheStats()
 	t.Logf("bytes_live=%d max_seen=%d bound=%d slack=%d evictions=%d ghost_hits=%d expirations=%d admit_drops=%d keys=%d",
 		st.BytesLive, maxSeen, int64(maxBytes), slack, st.Evictions, st.GhostHits, st.Expirations, st.AdmitDrops, s.Len())
