@@ -17,11 +17,11 @@
 // shardedClock), and log records are encoded directly into per-worker
 // double-buffered logs whose flushes never block appenders (§5, wal).
 //
-// The transport is protocol v2 (internal/wire): a hello exchange negotiates
-// the version (clients that send no hello speak v1 verbatim), after which
-// every frame carries a sequence tag and many batches ride one connection
-// at once. The async client (client.Conn, Go/Wait) pipelines tagged batches
-// behind one another, and the server turns each v2 connection into a
+// The transport is protocol v2 (internal/wire): a hello exchange opens
+// every connection (a stream without one is dropped), after which every
+// frame carries a sequence tag and many batches ride one connection at
+// once. The async client (client.Conn, Go/Wait) pipelines tagged batches
+// behind one another, and the server turns each connection into a
 // reader → executor → writer pipeline over a recycled scratch ring, so
 // decoding frame N+1 overlaps executing frame N and writing frame N−1 —
 // batching fills each message, pipelining fills the gaps between messages
@@ -78,7 +78,7 @@
 // per-worker lossy access rings. TTLs ride in the packed value header
 // (value.BuildTTLAt): reads treat a lapsed value as absent immediately
 // (lazy expiry) and an incremental background sweep reclaims it.
-// Protocol v2 carries PutTTL and Touch (v1 semantics are untouched), and
+// The wire protocol carries PutTTL and Touch, and
 // the Stats op reports bytes_live, evictions, expirations, and ghost_hits.
 //
 // Cache-mode persistence semantics: evictions and expirations are clean
@@ -163,8 +163,9 @@
 // failure, so a failed crash image ships its own story. The data surfaces
 // three ways, all rendered from the same snapshot so they cannot disagree:
 // the wire Stats op gains lat_<stage>_count/_sum/_p50/_p90/_p99/_p999 and
-// per-bucket lat_<stage>_b<i> keys (all base-10 integers — v1 clients that
-// ParseInt every value keep working, pinned by stats_compat_test);
+// per-bucket lat_<stage>_b<i> keys (all base-10 integers, so Conn.Stats
+// and the cluster aggregate, which skip non-integers, keep every one,
+// pinned by stats_compat_test);
 // cluster.StatsAggregate sums the bucket keys across nodes and re-derives
 // the quantiles from the merged distribution (never averaging per-node
 // quantiles, and labeling partial aggregates via stats_partial); and

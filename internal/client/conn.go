@@ -184,8 +184,8 @@ func WithDialTimeout(d time.Duration) ConnOption {
 }
 
 // WithWindow bounds the number of batches in flight at once (>= 1). Window
-// 1 degenerates to the blocking one-frame-at-a-time discipline of the v1
-// client, which makes it the natural baseline for pipelining benchmarks.
+// 1 degenerates to a blocking one-frame-at-a-time discipline, which makes
+// it the natural baseline for pipelining benchmarks.
 func WithWindow(n int) ConnOption {
 	return func(c *connConfig) {
 		if n > 0 {
@@ -195,7 +195,7 @@ func WithWindow(n int) ConnOption {
 }
 
 // DialConn connects to a server and negotiates protocol v2 with a hello
-// exchange. It fails if the server only speaks v1.
+// exchange. It fails if the server does not answer with Version2.
 func DialConn(addr string, opts ...ConnOption) (*Conn, error) {
 	cfg := connConfig{window: DefaultWindow}
 	for _, o := range opts {

@@ -7,13 +7,13 @@ import (
 	"repro/internal/value"
 )
 
-// Apply returning nil must leave the tree untouched: no phantom insert for
+// Update's f returning nil must leave the tree untouched: no phantom insert for
 // absent keys, no replacement for present ones.
 func TestApplyDecline(t *testing.T) {
 	tr := New()
 
 	// Decline on an absent key: nothing is inserted.
-	old, stored := tr.Apply([]byte("missing"), func(old *value.Value) *value.Value {
+	old, stored := tr.Update([]byte("missing"), func(old *value.Value) *value.Value {
 		if old != nil {
 			t.Fatalf("expected nil old for absent key")
 		}
@@ -31,15 +31,15 @@ func TestApplyDecline(t *testing.T) {
 
 	// Accept on an absent key: ordinary insert.
 	want := value.New([]byte("v1"))
-	_, stored = tr.Apply([]byte("k"), func(*value.Value) *value.Value { return want })
+	_, stored = tr.Update([]byte("k"), func(*value.Value) *value.Value { return want })
 	if stored != want || tr.Len() != 1 {
-		t.Fatalf("accepting apply did not insert (stored=%v len=%d)", stored, tr.Len())
+		t.Fatalf("accepting update did not insert (stored=%v len=%d)", stored, tr.Len())
 	}
 
 	// Decline on a present key: the value survives and old is reported.
-	old, stored = tr.Apply([]byte("k"), func(old *value.Value) *value.Value {
+	old, stored = tr.Update([]byte("k"), func(old *value.Value) *value.Value {
 		if old != want {
-			t.Fatalf("apply saw old=%v", old)
+			t.Fatalf("update saw old=%v", old)
 		}
 		return nil
 	})
@@ -47,7 +47,7 @@ func TestApplyDecline(t *testing.T) {
 		t.Fatalf("decline on present key: old=%v stored=%v", old, stored)
 	}
 	if got, ok := tr.Get([]byte("k")); !ok || got != want {
-		t.Fatalf("value replaced by declined apply: %v %v", got, ok)
+		t.Fatalf("value replaced by declined update: %v %v", got, ok)
 	}
 }
 
@@ -58,14 +58,14 @@ func TestApplyDeclineLongKeys(t *testing.T) {
 	long := []byte("a-key-longer-than-eight-bytes")
 	v := value.New([]byte("x"))
 	tr.Put(long, v)
-	old, stored := tr.Apply(long, func(*value.Value) *value.Value { return nil })
+	old, stored := tr.Update(long, func(*value.Value) *value.Value { return nil })
 	if old != v || stored != nil {
 		t.Fatalf("decline on suffix key: old=%v stored=%v", old, stored)
 	}
 	// Declining a different long key that shares the 8-byte prefix must not
 	// create a layer or insert anything.
 	other := []byte("a-key-longer-with-other-tail")
-	if _, stored := tr.Apply(other, func(*value.Value) *value.Value { return nil }); stored != nil {
+	if _, stored := tr.Update(other, func(*value.Value) *value.Value { return nil }); stored != nil {
 		t.Fatalf("decline stored %v", stored)
 	}
 	if _, ok := tr.Get(other); ok {
@@ -76,7 +76,7 @@ func TestApplyDeclineLongKeys(t *testing.T) {
 	}
 }
 
-// The batched path honors the same contract: apply returning nil skips the
+// The batched path honors the same contract: f returning nil skips the
 // key, whether it resolves through a fresh descent or an extended run.
 func TestPutBatchIntoDecline(t *testing.T) {
 	tr := New()

@@ -18,23 +18,16 @@ func (t *Tree) Put(key []byte, v *value.Value) (old *value.Value, replaced bool)
 
 // Update performs an atomic read-modify-write: f runs under the owning
 // border node's lock with the current value (nil if the key is absent) and
-// must return the non-nil value to store. This is how multi-column puts are
-// made atomic (§4.7) and how log replay applies updates in version order
-// (§5). It returns the previous and the stored value.
+// returns the value to store. This is how multi-column puts are made atomic
+// (§4.7) and how log replay applies updates in version order (§5). f may
+// also return nil to decline, leaving the tree unchanged — no store, no
+// insert, and no reader retries. This is the hook versioned
+// compare-and-swap builds on (a CAS inspects old's version under the lock
+// and declines on mismatch); the same contract applies to PutBatchInto's
+// per-key callback, so conditional writes batch exactly like unconditional
+// ones. It returns the value f observed and the value it stored (nil when
+// it declined).
 func (t *Tree) Update(key []byte, f func(old *value.Value) *value.Value) (old, stored *value.Value) {
-	old, stored, _ = t.put(key, f)
-	return old, stored
-}
-
-// Apply is Update for conditional writes: f runs under the owning border
-// node's lock with the current value (nil if the key is absent), but may
-// return nil to decline, leaving the tree unchanged — no store, no insert,
-// and no reader retries. This is the hook versioned compare-and-swap builds
-// on (a CAS inspects old's version under the lock and declines on
-// mismatch); the same contract applies to PutBatchInto's per-key callback,
-// so conditional writes batch exactly like unconditional ones. It returns
-// the value f observed and the value it stored (nil when it declined).
-func (t *Tree) Apply(key []byte, f func(old *value.Value) *value.Value) (old, stored *value.Value) {
 	old, stored, _ = t.put(key, f)
 	return old, stored
 }

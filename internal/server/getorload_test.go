@@ -7,12 +7,11 @@ import (
 	"repro/internal/backend"
 	"repro/internal/client"
 	"repro/internal/kvstore"
-	"repro/internal/wire"
 )
 
 // startBackendServer runs a server over a store wired to a mock backend,
-// returning all three so tests can seed the backend and inject faults.
-func startBackendServer(t *testing.T, cfg kvstore.Config, m *backend.Mock) (*Server, string) {
+// returning its address; tests keep the mock to seed it and inject faults.
+func startBackendServer(t *testing.T, cfg kvstore.Config, m *backend.Mock) string {
 	t.Helper()
 	cfg.Backend = m
 	if cfg.MaintainEvery == 0 {
@@ -30,7 +29,7 @@ func startBackendServer(t *testing.T, cfg kvstore.Config, m *backend.Mock) (*Ser
 		srv.Close()
 		store.Close()
 	})
-	return srv, srv.Addr().String()
+	return srv.Addr().String()
 }
 
 // TestGetOrLoadOverV2 exercises the read-through surface end to end: a miss
@@ -40,7 +39,7 @@ func startBackendServer(t *testing.T, cfg kvstore.Config, m *backend.Mock) (*Ser
 func TestGetOrLoadOverV2(t *testing.T) {
 	m := backend.NewMock(0)
 	m.Seed("k", backend.EncodeCols([][]byte{[]byte("from-backend")}))
-	_, addr := startBackendServer(t, kvstore.Config{}, m)
+	addr := startBackendServer(t, kvstore.Config{}, m)
 	conn, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +92,7 @@ func TestGetOrLoadOverV2(t *testing.T) {
 // with the expired value instead of an error.
 func TestGetOrLoadStaleOverWire(t *testing.T) {
 	m := backend.NewMock(0)
-	_, addr := startBackendServer(t, kvstore.Config{MaxStale: time.Minute}, m)
+	addr := startBackendServer(t, kvstore.Config{MaxStale: time.Minute}, m)
 	conn, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -126,34 +125,5 @@ func TestGetOrLoadStaleOverWire(t *testing.T) {
 	// A key with nothing resident fails fast with an error status.
 	if _, _, _, _, err := conn.GetOrLoad([]byte("nothing"), nil); err == nil {
 		t.Fatal("GetOrLoad of absent key during outage did not error")
-	}
-}
-
-// TestGetOrLoadRejectedOnV1 pins the protocol boundary: OpGetOrLoad is v2
-// surface; a v1 connection gets StatusError while the rest of the batch
-// executes normally.
-func TestGetOrLoadRejectedOnV1(t *testing.T) {
-	m := backend.NewMock(0)
-	m.Seed("k", backend.EncodeCols([][]byte{[]byte("v")}))
-	srv, addr := startBackendServer(t, kvstore.Config{}, m)
-	c := dialV1(t, addr)
-	resps, err := c.Do([]wire.Request{
-		{Op: wire.OpGetOrLoad, Key: []byte("k")},
-		{Op: wire.OpPut, Key: []byte("p"), Puts: []wire.ColData{{Col: 0, Data: []byte("v")}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resps[0].Status != wire.StatusError {
-		t.Fatalf("OpGetOrLoad not rejected on v1: %+v", resps[0])
-	}
-	if resps[1].Status != wire.StatusOK {
-		t.Fatalf("plain v1 op broken: %+v", resps[1])
-	}
-	if got := srv.erroredRequests.Load(); got != 1 {
-		t.Fatalf("errored_requests = %d, want 1", got)
-	}
-	if got := m.Loads(); got != 0 {
-		t.Fatalf("rejected v1 OpGetOrLoad reached the backend (%d loads)", got)
 	}
 }

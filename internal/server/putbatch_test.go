@@ -124,9 +124,9 @@ func TestServerPutPathAllocs(t *testing.T) {
 		reqs[j] = wire.Request{Op: wire.OpPut, Key: []byte(fmt.Sprintf("allocs-key-%04d", j)), Puts: data[j : j+1]}
 	}
 	sc := &connScratch{}
-	srv.executeBatch(sess, reqs, len(reqs), sc, true) // warm scratch and insert the keys
+	srv.executeBatch(sess, reqs, len(reqs), sc) // warm scratch and insert the keys
 	allocs := testing.AllocsPerRun(100, func() {
-		srv.executeBatch(sess, reqs, len(reqs), sc, true)
+		srv.executeBatch(sess, reqs, len(reqs), sc)
 	})
 	// One packed value per put is the floor; allow nothing beyond it.
 	if allocs > batch {

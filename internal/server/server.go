@@ -5,16 +5,15 @@
 // equally effective at avoiding network overhead"; batching many queries per
 // message amortizes network and syscall costs.
 //
-// Connections speak protocol v1 or v2 (see internal/wire): the first bytes
-// either begin a hello frame negotiating v2 or a v1 length header, so
-// legacy clients work verbatim. A v1 connection executes one frame at a
-// time in its goroutine. A v2 connection is served by a reader → executor →
-// writer pipeline: tagged frames cycle through a small ring of connScratch
-// buffers over bounded channels, so decoding frame N+1 overlaps executing
-// frame N and writing back frame N−1 while single-executor FIFO order
-// preserves per-connection response order by tag. Combined with a
-// pipelining client (many tagged frames in flight), neither side ever
-// stalls on the other's round trip.
+// Every connection speaks protocol v2 (see internal/wire): it opens with a
+// hello, and a connection whose first bytes are not a hello proposing at
+// least Version2 is dropped. After the hello, a connection is served by a
+// reader → executor → writer pipeline: tagged frames cycle through a small
+// ring of connScratch buffers over bounded channels, so decoding frame N+1
+// overlaps executing frame N and writing back frame N−1 while
+// single-executor FIFO order preserves per-connection response order by
+// tag. Combined with a pipelining client (many tagged frames in flight),
+// neither side ever stalls on the other's round trip.
 //
 // Execution is batch-aware in both directions: a run of consecutive OpGet
 // requests within one message is served through Session.GetBatchInto, and a
@@ -199,22 +198,10 @@ func (s *Server) serveConn(conn net.Conn, worker int) {
 	defer sess.Close()
 	r := bufio.NewReaderSize(conn, 1<<16)
 	w := bufio.NewWriterSize(conn, 1<<16)
-	// The connection's first bytes either begin a hello frame (negotiate
-	// v2) or a v1 length header (legacy client, served verbatim).
-	first, err := r.Peek(4)
-	if err != nil {
-		return
-	}
-	if !wire.IsHelloPrefix(first) {
-		s.serveV1(sess, r, w)
-		return
-	}
-	ver, err := wire.ReadHello(r)
-	if err != nil || ver < wire.Version2 {
-		// Version2 is the oldest hello-negotiated version (v1 clients send
-		// no hello), so a lower proposal is a protocol violation: drop the
-		// connection rather than answer with a version the sender could
-		// not speak (see the wire package comment).
+	// A stream that does not open with a hello proposing at least
+	// Version2 is dropped unanswered: there is no version the sender could
+	// be told to speak.
+	if _, err := wire.ReadHello(r); err != nil {
 		return
 	}
 	if err := wire.WriteHello(w, wire.Version2); err != nil {
@@ -224,32 +211,6 @@ func (s *Server) serveConn(conn net.Conn, worker int) {
 		return
 	}
 	s.serveV2(conn, sess, r, w)
-}
-
-// serveV1 executes one frame at a time: the v1 protocol allows a single
-// batch in flight, so the read, execute, and write phases simply alternate
-// in this goroutine.
-func (s *Server) serveV1(sess *kvstore.Session, r *bufio.Reader, w *bufio.Writer) {
-	sc := &connScratch{}
-	for {
-		body, err := wire.ReadRequestBody(r, &sc.dec)
-		if err != nil {
-			// EOF and friends are orderly shutdown; anything else is a
-			// framing error. Either way, drop the connection.
-			return
-		}
-		reqs, claimed, err := wire.ParseRequestsLenient(body, &sc.dec)
-		if err != nil {
-			// The frame itself cannot be trusted (forged count, trailing
-			// bytes): no per-request recovery is possible.
-			return
-		}
-		s.executeBatch(sess, reqs, claimed, sc, false)
-		if err := wire.WriteResponsesInto(w, sc.resps, &sc.enc); err != nil {
-			return
-		}
-		sc.shrink()
-	}
 }
 
 // v2PipelineDepth is the number of connScratch buffers a v2 connection
@@ -316,7 +277,7 @@ func (s *Server) serveV2(conn net.Conn, sess *kvstore.Session, r *bufio.Reader, 
 				b, err := wire.AppendTaggedResponses(sc.enc[:0], sc.tag, sc.resps)
 				if err != nil {
 					// Response exceeds the frame bound: unanswerable; drop
-					// the connection like the v1 path would.
+					// the connection.
 					failed = true
 					conn.Close()
 				} else {
@@ -340,7 +301,7 @@ func (s *Server) serveV2(conn net.Conn, sess *kvstore.Session, r *bufio.Reader, 
 	}()
 	// Executor (this goroutine): runs decoded requests against the store.
 	for sc := range decoded {
-		s.executeBatch(sess, sc.reqs, sc.claimed, sc, true)
+		s.executeBatch(sess, sc.reqs, sc.claimed, sc)
 		executed <- sc
 	}
 	close(executed)
@@ -354,10 +315,8 @@ func (s *Server) serveV2(conn net.Conn, sess *kvstore.Session, r *bufio.Reader, 
 // request fails alone instead of killing the connection mid-batch. Runs of
 // consecutive OpGets (or OpPuts) of length >= minBatchRun are served
 // through the session's batched lookup (or batched put); everything else
-// executes one at a time. ttlOK admits the cache-mode operations
-// (OpPutTTL/OpTouch/OpGetOrLoad), which are v2 surface: the v1 path answers
-// them with StatusError, leaving v1 semantics untouched.
-func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claimed int, sc *connScratch, ttlOK bool) {
+// executes one at a time.
+func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claimed int, sc *connScratch) {
 	if claimed < len(reqs) {
 		claimed = len(reqs)
 	}
@@ -384,7 +343,7 @@ func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claime
 				continue
 			}
 		}
-		sc.resps[i] = s.execute(sess, &reqs[i], sc, ttlOK)
+		sc.resps[i] = s.execute(sess, &reqs[i], sc)
 		i++
 	}
 	for i := len(reqs); i < claimed; i++ {
@@ -463,7 +422,7 @@ func (s *Server) executePutRun(sess *kvstore.Session, reqs []wire.Request, resps
 // histForOp maps a wire op to its server-side latency histogram; ok is
 // false for ops that are not timed (Stats itself, Remove, unknown ops).
 // PutTTL and Touch fold into the put histogram: they take the same write
-// path and the cardinality stays the v1 set the ISSUE names.
+// path, and folding them keeps the set of histograms small.
 func histForOp(op wire.OpCode) (obs.HistID, bool) {
 	switch op {
 	case wire.OpGet:
@@ -483,19 +442,19 @@ func histForOp(op wire.OpCode) (obs.HistID, bool) {
 // execute serves one request, timing it into the op's latency histogram.
 // Responses may alias sc's arenas and the request's frame buffer; they are
 // valid until the next message.
-func (s *Server) execute(sess *kvstore.Session, r *wire.Request, sc *connScratch, ttlOK bool) wire.Response {
+func (s *Server) execute(sess *kvstore.Session, r *wire.Request, sc *connScratch) wire.Response {
 	if s.obs != nil {
 		if id, ok := histForOp(r.Op); ok {
 			start := time.Now()
-			resp := s.executeOp(sess, r, sc, ttlOK)
+			resp := s.executeOp(sess, r, sc)
 			s.obs.Hist(id).Record(sess.Worker(), time.Since(start))
 			return resp
 		}
 	}
-	return s.executeOp(sess, r, sc, ttlOK)
+	return s.executeOp(sess, r, sc)
 }
 
-func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScratch, ttlOK bool) wire.Response {
+func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScratch) wire.Response {
 	switch r.Op {
 	case wire.OpGet:
 		// Gets report the value's version so clients can chain OpCas off a
@@ -533,10 +492,6 @@ func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScrat
 		}
 		return wire.Response{Status: wire.StatusOK, Version: ver}
 	case wire.OpPutTTL:
-		if !ttlOK {
-			s.erroredRequests.Add(1)
-			return wire.Response{Status: wire.StatusError}
-		}
 		sc.puts = sc.puts[:0]
 		for _, p := range r.Puts {
 			sc.puts = append(sc.puts, value.ColPut{Col: p.Col, Data: p.Data})
@@ -544,26 +499,18 @@ func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScrat
 		ver := sess.PutTTL(r.Key, sc.puts, expiryFromTTL(r.TTL))
 		return wire.Response{Status: wire.StatusOK, Version: ver}
 	case wire.OpTouch:
-		if !ttlOK {
-			s.erroredRequests.Add(1)
-			return wire.Response{Status: wire.StatusError}
-		}
 		ver, ok := sess.Touch(r.Key, expiryFromTTL(r.TTL))
 		if !ok {
 			return wire.Response{Status: wire.StatusNotFound}
 		}
 		return wire.Response{Status: wire.StatusOK, Version: ver}
 	case wire.OpGetOrLoad:
-		// Read-through get (v2 surface, like the TTL ops): a miss consults
-		// the store's backend tier, with concurrent misses for the same key
-		// coalesced into one backend load. StatusStale marks a degraded
-		// answer — an expired resident value served because the backend could
-		// not be reached. A store without a backend (or a backend failure
-		// with nothing resident) answers StatusError.
-		if !ttlOK {
-			s.erroredRequests.Add(1)
-			return wire.Response{Status: wire.StatusError}
-		}
+		// Read-through get: a miss consults the store's backend tier, with
+		// concurrent misses for the same key coalesced into one backend
+		// load. StatusStale marks a degraded answer — an expired resident
+		// value served because the backend could not be reached. A store
+		// without a backend (or a backend failure with nothing resident)
+		// answers StatusError.
 		v, stale, err := sess.GetOrLoad(context.Background(), r.Key)
 		if err != nil {
 			s.erroredRequests.Add(1)
@@ -596,7 +543,7 @@ func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScrat
 		}
 		return wire.Response{Status: wire.StatusOK, Pairs: sc.pairs[start:len(sc.pairs):len(sc.pairs)]}
 	case wire.OpStats:
-		return s.statsResponse(ttlOK)
+		return s.statsResponse()
 	default:
 		return wire.Response{Status: wire.StatusError}
 	}
@@ -615,24 +562,21 @@ func expiryFromTTL(ttl uint32) uint64 {
 // counters, cache-mode health, and logging health as metric name/value
 // pairs. flush_errors is the count of failed log flushes (background group
 // commits included); a non-zero value means acknowledged puts may not be
-// durable — on v2 connections flush_last_error carries the most recent
-// failure's text (the one non-numeric stat; it is withheld from v1
-// responses because v1 clients parse every stat as an integer and would
-// reject the whole response). bytes_live is the accounted packed-value
+// durable — flush_last_error then carries the most recent failure's text
+// (the one non-numeric stat; Conn.Stats and cluster.StatsAggregate skip
+// it, Conn.StatsRaw returns it). bytes_live is the accounted packed-value
 // footprint; evictions, expirations, ghost_hits, and admit_drops are the
 // cache-mode counters (zero unless MaxBytes/TTLs are in use).
-func (s *Server) statsResponse(v2 bool) wire.Response {
+func (s *Server) statsResponse() wire.Response {
 	stats, _ := s.collectStats()
 	pairs := make([]wire.Pair, 0, len(stats)+1)
 	for _, m := range stats {
 		pairs = append(pairs, wire.Pair{Key: []byte(m.Name),
 			Cols: [][]byte{[]byte(strconv.FormatInt(m.Value, 10))}})
 	}
-	if v2 {
-		if _, flushLast := s.store.FlushStats(); flushLast != nil {
-			pairs = append(pairs, wire.Pair{Key: []byte("flush_last_error"),
-				Cols: [][]byte{[]byte(flushLast.Error())}})
-		}
+	if _, flushLast := s.store.FlushStats(); flushLast != nil {
+		pairs = append(pairs, wire.Pair{Key: []byte("flush_last_error"),
+			Cols: [][]byte{[]byte(flushLast.Error())}})
 	}
 	return wire.Response{Status: wire.StatusOK, Pairs: pairs}
 }
@@ -672,8 +616,8 @@ func (s *Server) collectStats() ([]obs.Stat, []obs.HistSnapshot) {
 		{Name: "flush_retries", Value: s.store.FlushRetries()},
 		{Name: "broken_chains", Value: s.store.RecoveryStats().BrokenChains},
 		{Name: "missing_logs", Value: s.store.RecoveryStats().MissingLogs},
-		// Backend-tier health (all numeric, so v1 clients that integer-parse
-		// every stat stay happy): zero-valued when no backend is configured.
+		// Backend-tier health (all numeric, so Conn.Stats and the cluster
+		// aggregate keep it): zero-valued when no backend is configured.
 		{Name: "loads", Value: int64(ls.Loads)},
 		{Name: "load_errors", Value: int64(ls.LoadErrors)},
 		{Name: "herd_coalesced", Value: int64(ls.HerdCoalesced)},

@@ -8,19 +8,33 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/client"
 	"repro/internal/kvstore"
 	"repro/internal/vfs"
 	"repro/internal/wire"
 )
 
-// TestFlushLastErrorOnlyOnV2 pins the stats compatibility rule: the one
-// string-valued metric (flush_last_error) is served only on v2 connections.
-// Pre-existing v1 client binaries parse every stats value with ParseInt and
-// reject the whole response on the first non-numeric one — exactly when the
-// operator most needs stats — so the v1 response must stay all-numeric even
-// while a flush error is latched.
-func TestFlushLastErrorOnlyOnV2(t *testing.T) {
+// assertNumericStats checks the numeric-stats contract on a raw stats map:
+// every key except flush_last_error, the one string-valued stat, is a
+// base-10 integer. Conn.Stats and cluster.StatsAggregate silently skip
+// values that are not integers, so a stat that broke the contract would
+// vanish from them rather than fail.
+func assertNumericStats(t *testing.T, raw map[string]string) {
+	t.Helper()
+	for k, v := range raw {
+		if k == "flush_last_error" {
+			continue
+		}
+		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
+			t.Fatalf("stat %q=%q is not numeric", k, v)
+		}
+	}
+}
+
+// TestFlushLastErrorInStats pins the one string-valued stat: while a flush
+// error is latched, the stats response carries its text as
+// flush_last_error, every other stat stays numeric, and the numeric view
+// (Conn.Stats) skips the string instead of failing on it.
+func TestFlushLastErrorInStats(t *testing.T) {
 	mem := vfs.NewMemFS()
 	fault := vfs.NewFault(mem)
 	store, err := kvstore.Open(kvstore.Config{
@@ -50,50 +64,35 @@ func TestFlushLastErrorOnlyOnV2(t *testing.T) {
 		t.Fatalf("flush error not latched: n=%d last=%v", n, last)
 	}
 
-	addr := srv.Addr().String()
-	v1 := dialV1(t, addr)
-	rawV1, err := v1.StatsRaw()
+	c := dialConn(t, srv.Addr().String())
+	raw, err := c.StatsRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, present := rawV1["flush_last_error"]; present {
-		t.Fatal("v1 stats carried the string-valued flush_last_error")
+	if msg, present := raw["flush_last_error"]; !present || msg == "" {
+		t.Fatalf("stats missing flush_last_error: %v", raw)
 	}
-	for k, v := range rawV1 { // an old binary's ParseInt loop must succeed
-		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-			t.Fatalf("v1 stat %q=%q is not numeric", k, v)
-		}
-	}
-	if rawV1["flush_errors"] == "0" {
+	assertNumericStats(t, raw)
+	if raw["flush_errors"] == "0" {
 		t.Fatal("flush_errors did not report the failure")
 	}
-
-	v2, err := client.DialConn(addr)
+	stats, err := c.Stats() // numeric view skips the string
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("numeric Stats failed on the string metric: %v", err)
 	}
-	defer v2.Close()
-	rawV2, err := v2.StatsRaw()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg, present := rawV2["flush_last_error"]; !present || msg == "" {
-		t.Fatalf("v2 stats missing flush_last_error: %v", rawV2)
-	}
-	if _, err := v2.Stats(); err != nil { // numeric view skips the string
-		t.Fatalf("v2 numeric Stats failed on the string metric: %v", err)
+	if _, present := stats["flush_last_error"]; present {
+		t.Fatal("numeric Stats kept the string-valued flush_last_error")
 	}
 }
 
 // TestStatsNumericWithBreakerTripped audits the state-machine metrics
-// against the same compatibility rule while they are *non-zero*: with the
+// against the numeric-stats contract while they are *non-zero*: with the
 // backend breaker freshly tripped, breaker_state must report its state as
-// an integer (1 = open, never a name like "open") and every other v1 stat
-// must stay ParseInt-clean. The cluster client's node_state follows the
-// identical convention (pinned by TestClusterStatsAllNumeric); this is the
-// server half of that audit, taken at the worst moment — mid-outage, when
-// an operator's old binary is most likely to be pointed at the stats
-// endpoint.
+// an integer (1 = open, never a name like "open") and every other stat
+// must stay ParseInt-clean, or Conn.Stats and cluster.StatsAggregate would
+// drop it mid-outage, when an operator most needs it. The cluster client's
+// node_state follows the identical convention (pinned by
+// TestClusterStatsAllNumeric); this is the server half of that audit.
 func TestStatsNumericWithBreakerTripped(t *testing.T) {
 	m := backend.NewMock(0)
 	w := backend.Wrap(m, backend.WrapConfig{BreakerFailures: 1, BreakerOpenFor: time.Hour})
@@ -112,44 +111,35 @@ func TestStatsNumericWithBreakerTripped(t *testing.T) {
 
 	// Trip the breaker through the wire path: one failing read-through load.
 	m.SetError(errors.New("backend down"))
-	v2, err := client.DialConn(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	if _, _, _, _, err := v2.GetOrLoad([]byte("absent"), nil); err == nil {
+	c := dialConn(t, srv.Addr().String())
+	if _, _, _, _, err := c.GetOrLoad([]byte("absent"), nil); err == nil {
 		t.Fatal("getorload against a dead backend succeeded")
 	}
 	if st := store.LoaderStats(); st.Backend.BreakerState != backend.BreakerOpen {
 		t.Fatalf("breaker not open: %+v", st.Backend)
 	}
 
-	v1 := dialV1(t, srv.Addr().String())
-	raw, err := v1.StatsRaw()
+	raw, err := c.StatsRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
 	state, present := raw["breaker_state"]
 	if !present {
-		t.Fatal("breaker_state missing from v1 stats")
+		t.Fatal("breaker_state missing from stats")
 	}
 	if n, err := strconv.ParseInt(state, 10, 64); err != nil || n != int64(backend.BreakerOpen) {
 		t.Fatalf("breaker_state=%q, want the integer %d", state, backend.BreakerOpen)
 	}
-	for k, v := range raw { // the old binary's ParseInt loop, mid-outage
-		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-			t.Fatalf("v1 stat %q=%q is not numeric", k, v)
-		}
-	}
+	assertNumericStats(t, raw)
 }
 
-// TestStatsHistogramKeysV1Numeric sweeps the histogram-derived stats keys
-// through a v1 connection: every lat_* key (counts, sums, quantiles, raw
-// buckets) must be a base-10 integer an old binary's ParseInt loop accepts,
-// and traffic must actually surface them — the keys ride the same stats
-// response v1 clients have always parsed, so shipping a non-numeric or
-// missing key here would break the oldest deployed tooling first.
-func TestStatsHistogramKeysV1Numeric(t *testing.T) {
+// TestStatsHistogramKeysNumeric sweeps the histogram-derived stats keys:
+// every lat_* key (counts, sums, quantiles, raw lat_*_b<i> buckets) must be
+// a base-10 integer, and traffic must actually surface them. The bucket
+// keys are what cluster.StatsAggregate sums across nodes to re-derive
+// quantiles, so a non-numeric bucket would silently drop out of every
+// aggregate.
+func TestStatsHistogramKeysNumeric(t *testing.T) {
 	store, err := kvstore.Open(kvstore.Config{Workers: 1, MaintainEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +153,7 @@ func TestStatsHistogramKeysV1Numeric(t *testing.T) {
 		store.Close()
 	})
 
-	c := dialV1(t, srv.Addr().String())
+	c := dialConn(t, srv.Addr().String())
 	for i := 0; i < 8; i++ {
 		key := []byte("compat-key-" + strconv.Itoa(i))
 		if _, err := c.Do([]wire.Request{{Op: wire.OpPut, Key: key, Puts: []wire.ColData{{Col: 0, Data: []byte("compat-value")}}}}); err != nil {
@@ -177,17 +167,20 @@ func TestStatsHistogramKeysV1Numeric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := 0
-	for k, v := range raw {
-		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-			t.Fatalf("v1 stat %q=%q is not numeric", k, v)
-		}
+	assertNumericStats(t, raw)
+	lat, buckets := 0, 0
+	for k := range raw {
 		if strings.HasPrefix(k, "lat_") {
 			lat++
+			if i := strings.LastIndex(k, "_b"); i > 0 {
+				if _, err := strconv.Atoi(k[i+2:]); err == nil {
+					buckets++
+				}
+			}
 		}
 	}
-	if lat == 0 {
-		t.Fatal("v1 stats carry no histogram keys")
+	if lat == 0 || buckets == 0 {
+		t.Fatalf("stats carry %d histogram keys, %d of them buckets; want both non-zero", lat, buckets)
 	}
 	for _, k := range []string{"lat_get_count", "lat_get_p50", "lat_get_p999", "lat_put_count"} {
 		if raw[k] == "" || raw[k] == "0" {

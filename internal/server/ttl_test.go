@@ -6,12 +6,11 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/kvstore"
-	"repro/internal/wire"
 )
 
 // startCacheServer runs a server over a cache-mode store (bounded, with the
 // maintenance loop ticking fast so sweeps and evictions actually run).
-func startCacheServer(t *testing.T, maxBytes int) (*Server, string) {
+func startCacheServer(t *testing.T, maxBytes int) string {
 	t.Helper()
 	store, err := kvstore.Open(kvstore.Config{
 		MaintainEvery: time.Millisecond,
@@ -28,14 +27,14 @@ func startCacheServer(t *testing.T, maxBytes int) (*Server, string) {
 		srv.Close()
 		store.Close()
 	})
-	return srv, srv.Addr().String()
+	return srv.Addr().String()
 }
 
 // TestTTLOverV2 exercises the cache-mode wire surface end to end: PutTTL
 // stores with a deadline, Touch extends it, an expired key reads NotFound,
 // and the stats op reports the cache counters.
 func TestTTLOverV2(t *testing.T) {
-	_, addr := startCacheServer(t, 1<<30)
+	addr := startCacheServer(t, 1<<30)
 	conn, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +87,7 @@ func TestTTLOverV2(t *testing.T) {
 // The server computes deadlines from wire TTL seconds, so the shortest
 // expressible TTL is 1s — the test waits it out.
 func TestTTLExpiresOverWire(t *testing.T) {
-	_, addr := startCacheServer(t, 0) // TTLs work without a byte budget too
+	addr := startCacheServer(t, 0) // TTLs work without a byte budget too
 	conn, err := client.DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -113,35 +112,5 @@ func TestTTLExpiresOverWire(t *testing.T) {
 	}
 	if _, ok, err := conn.Touch([]byte("blink"), 60); err != nil || ok {
 		t.Fatalf("touch revived an expired key: %v %v", ok, err)
-	}
-}
-
-// TestTTLRejectedOnV1 pins the protocol boundary: OpPutTTL and OpTouch are
-// v2 surface, and a v1 connection answering them gets StatusError while the
-// rest of its batch executes normally — v1 semantics untouched.
-func TestTTLRejectedOnV1(t *testing.T) {
-	srv, addr := startCacheServer(t, 1<<30)
-	c := dialV1(t, addr)
-	resps, err := c.Do([]wire.Request{
-		{Op: wire.OpPut, Key: []byte("k"), Puts: []wire.ColData{{Col: 0, Data: []byte("v")}}},
-		{Op: wire.OpPutTTL, Key: []byte("t"), Puts: []wire.ColData{{Col: 0, Data: []byte("v")}}, TTL: 60},
-		{Op: wire.OpTouch, Key: []byte("k"), TTL: 60},
-		{Op: wire.OpGet, Key: []byte("k")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resps[0].Status != wire.StatusOK || resps[3].Status != wire.StatusOK {
-		t.Fatalf("plain v1 ops broken: %+v", resps)
-	}
-	if resps[1].Status != wire.StatusError || resps[2].Status != wire.StatusError {
-		t.Fatalf("TTL ops not rejected on v1: %+v", resps)
-	}
-	if got := srv.erroredRequests.Load(); got != 2 {
-		t.Fatalf("errored_requests = %d, want 2", got)
-	}
-	// The rejected OpPutTTL must not have stored anything.
-	if resps, err := c.Do([]wire.Request{{Op: wire.OpGet, Key: []byte("t")}}); err == nil && resps[0].Status == wire.StatusOK {
-		t.Fatal("v1 OpPutTTL stored a value despite StatusError")
 	}
 }

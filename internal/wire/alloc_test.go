@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"testing"
 )
@@ -21,12 +20,12 @@ func TestRequestRoundTripAllocFree(t *testing.T) {
 	var dec DecodeBuf
 
 	allocs := testing.AllocsPerRun(200, func() {
-		out, err := AppendRequests(enc[:0], reqs)
+		out, err := AppendTaggedRequests(enc[:0], 1, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		enc = out
-		got, err := ParseRequests(enc[4:], &dec)
+		got, err := ParseRequests(enc[8:], &dec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,12 +54,12 @@ func TestResponseRoundTripAllocFree(t *testing.T) {
 	var dec RespDecodeBuf
 
 	allocs := testing.AllocsPerRun(200, func() {
-		out, err := AppendResponses(enc[:0], resps)
+		out, err := AppendTaggedResponses(enc[:0], 1, resps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		enc = out
-		got, err := ParseResponses(enc[4:], &dec)
+		got, err := ParseResponses(enc[8:], &dec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,8 +72,9 @@ func TestResponseRoundTripAllocFree(t *testing.T) {
 	}
 }
 
-// TestScratchDecodeMatchesLegacy cross-checks the aliasing decoder against
-// the copying one over a stream carrying every request shape.
+// TestScratchDecodeMatchesLegacy cross-checks the aliasing decoders
+// against the copying reference decoders over frames carrying every
+// request and response shape.
 func TestScratchDecodeMatchesLegacy(t *testing.T) {
 	reqs := []Request{
 		{Op: OpGet, Key: []byte("alpha")},
@@ -84,19 +84,17 @@ func TestScratchDecodeMatchesLegacy(t *testing.T) {
 		{Op: OpGetRange, Key: []byte("eps"), N: 7},
 		{Op: OpStats},
 	}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteRequests(w, reqs); err != nil {
+	frame, err := AppendTaggedRequests(nil, 1, reqs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	stream := buf.Bytes()
 
-	legacy, err := ReadRequests(bufio.NewReader(bytes.NewReader(stream)))
+	legacy, err := parseRequestsCopy(frame[8:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	var dec DecodeBuf
-	scratch, err := ReadRequestsInto(bufio.NewReader(bytes.NewReader(stream)), &dec)
+	scratch, err := ParseRequests(frame[8:], &dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +118,56 @@ func TestScratchDecodeMatchesLegacy(t *testing.T) {
 			}
 		}
 	}
+
+	resps := []Response{
+		{Status: StatusOK, Version: 7, Cols: [][]byte{[]byte("c0"), nil, []byte("c2")}},
+		{Status: StatusNotFound},
+		{Status: StatusConflict, Version: 1 << 40},
+		{Status: StatusOK, Pairs: []Pair{
+			{Key: []byte("k1"), Cols: [][]byte{[]byte("v1")}},
+			{Key: []byte("k2"), Cols: [][]byte{[]byte("v2"), []byte("v2b")}},
+		}},
+	}
+	frame, err = AppendTaggedResponses(nil, 1, resps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyResps, err := parseResponsesCopy(frame[8:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rdec RespDecodeBuf
+	scratchResps, err := ParseResponses(frame[8:], &rdec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(legacyResps) != len(scratchResps) {
+		t.Fatalf("response count mismatch: %d vs %d", len(legacyResps), len(scratchResps))
+	}
+	for i := range legacyResps {
+		a, b := legacyResps[i], scratchResps[i]
+		if a.Status != b.Status || a.Version != b.Version ||
+			!equalCols(a.Cols, b.Cols) || len(a.Pairs) != len(b.Pairs) {
+			t.Fatalf("response %d mismatch:\n%+v\n%+v", i, a, b)
+		}
+		for j := range a.Pairs {
+			if !bytes.Equal(a.Pairs[j].Key, b.Pairs[j].Key) || !equalCols(a.Pairs[j].Cols, b.Pairs[j].Cols) {
+				t.Fatalf("response %d pair %d mismatch", i, j)
+			}
+		}
+	}
+}
+
+func equalCols(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestDecodeBufReuse verifies that consecutive messages through one
@@ -135,11 +183,11 @@ func TestDecodeBufReuse(t *testing.T) {
 		{Op: OpRemove, Key: []byte("d")},
 	}
 	for _, batch := range [][]Request{first, second, first} {
-		enc, err := AppendRequests(nil, batch)
+		enc, err := AppendTaggedRequests(nil, 1, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ParseRequests(enc[4:], &dec)
+		got, err := ParseRequests(enc[8:], &dec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,11 +215,12 @@ func TestForgedCountRejected(t *testing.T) {
 	if _, err := ParseResponses(body, &rdec); err == nil {
 		t.Fatal("ParseResponses accepted a forged response count")
 	}
-	frame := append([]byte{byte(len(body)), 0, 0, 0}, body...)
-	if _, err := ReadRequests(bufio.NewReader(bytes.NewReader(frame))); err == nil {
-		t.Fatal("ReadRequests accepted a forged request count")
+	// The same body behind a well-formed tagged header.
+	frame := append([]byte{byte(4 + len(body)), 0, 0, 0x80, 9, 0, 0, 0}, body...)
+	if _, err := readRequestFrame(bytes.NewReader(frame), &dec); err == nil {
+		t.Fatal("tagged request frame with a forged count accepted")
 	}
-	if _, err := ReadResponses(bufio.NewReader(bytes.NewReader(frame))); err == nil {
-		t.Fatal("ReadResponses accepted a forged response count")
+	if _, err := readResponseFrame(bytes.NewReader(frame), &rdec); err == nil {
+		t.Fatal("tagged response frame with a forged count accepted")
 	}
 }

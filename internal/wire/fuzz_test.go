@@ -29,11 +29,11 @@ func seedRequestBodies(f *testing.F) {
 		},
 	}
 	for _, reqs := range batches {
-		frame, err := AppendRequests(nil, reqs)
+		frame, err := AppendTaggedRequests(nil, 1, reqs)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(frame[4:]) // body without the length header
+		f.Add(frame[8:]) // body without the tagged header
 	}
 }
 
@@ -72,44 +72,40 @@ func FuzzDecodeResponse(f *testing.F) {
 		},
 	}
 	for _, resps := range batches {
-		frame, err := AppendResponses(nil, resps)
+		frame, err := AppendTaggedResponses(nil, 1, resps)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(frame[4:])
+		f.Add(frame[8:])
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var d RespDecodeBuf
 		resps, err := ParseResponses(body, &d)
 		if err == nil {
 			// Decoded responses must re-encode without panicking.
-			if _, err := AppendResponses(nil, resps); err != nil {
+			if _, err := AppendTaggedResponses(nil, 1, resps); err != nil {
 				t.Fatalf("re-encode failed: %v", err)
 			}
 		}
 	})
 }
 
-// FuzzV2Frame covers the v2 connection preamble: hello detection/decoding
-// and the tagged header. Whatever the bytes, the readers must fail cleanly
-// (no panic) and never confuse a v1 frame, a v2 frame, and a hello.
+// FuzzV2Frame covers the connection preamble: the hello and the tagged
+// header. Whatever the bytes, the readers must fail cleanly (no panic) and
+// no input may parse as both a hello and a tagged header.
 func FuzzV2Frame(f *testing.F) {
 	f.Add(AppendHello(nil, Version2))
 	if tagged, err := AppendTaggedRequests(nil, 1, []Request{{Op: OpGet, Key: []byte("k")}}); err == nil {
 		f.Add(tagged)
 	}
-	if v1, err := AppendRequests(nil, []Request{{Op: OpStats}}); err == nil {
-		f.Add(v1)
-	}
+	// A length-prefixed stats batch without the marker bit: a foreign
+	// stream.
+	f.Add([]byte{7, 0, 0, 0, 1, 0, 0, 0, byte(OpStats), 0, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		isHello := IsHelloPrefix(b)
-		if _, err := ReadHello(bytes.NewReader(b)); err == nil && !isHello {
-			t.Fatal("ReadHello accepted bytes IsHelloPrefix rejects")
-		}
-		tag, n, err := ReadTaggedHeader(bytes.NewReader(b))
-		_ = tag
+		_, helloErr := ReadHello(bytes.NewReader(b))
+		_, n, err := ReadTaggedHeader(bytes.NewReader(b))
 		if err == nil {
-			if isHello {
+			if helloErr == nil {
 				t.Fatal("bytes parsed as both hello and tagged header")
 			}
 			if n < 0 || n > MaxMessage {

@@ -13,31 +13,23 @@ import (
 	"io"
 )
 
-// Protocol versions negotiated by the hello exchange. Version1 is the
-// original one-frame-in-flight protocol spoken by clients that send no
-// hello; Version2 adds tagged frames and pipelining.
-const (
-	Version1 uint8 = 1
-	Version2 uint8 = 2
-)
-
-// MaxVersion is the newest protocol version this build speaks; the server
-// answers a hello proposing anything newer with MaxVersion.
-const MaxVersion = Version2
+// Version2 is the protocol version the hello exchange negotiates: tagged
+// frames and pipelining. A hello proposing a newer version is answered with
+// Version2; one proposing an older version is rejected.
+const Version2 uint8 = 2
 
 // helloMagic precedes the version byte in a hello frame. Its first four
-// bytes decode as an impossible v1 frame length (far above MaxMessage) and
-// an impossible v2 header (a masked length above MaxMessage), so every
-// legacy decoder rejects a hello cleanly instead of misreading it.
+// bytes decode as a tagged header whose masked length is far above
+// MaxMessage, so ReadTaggedHeader rejects a hello cleanly instead of
+// misreading it.
 var helloMagic = [8]byte{0xff, 0xff, 0xff, 0xff, 'M', 'T', 'K', 'V'}
 
 // HelloSize is the encoded size of a hello frame.
 const HelloSize = 9
 
-// v2FrameBit marks a length word as a v2 tagged-frame header. MaxMessage is
-// far below 1<<31, so the bit never collides with an honest v1 length — a
-// v1-only peer rejects a v2 frame as oversized instead of misparsing the tag
-// as a batch count.
+// v2FrameBit marks a length word as a tagged-frame header. MaxMessage is
+// far below 1<<31, so the bit is never part of an honest length; a length
+// word without it means the stream is desynchronised or foreign.
 const v2FrameBit = uint32(1) << 31
 
 // taggedHeaderSize is the v2 frame header: marked length plus tag.
@@ -64,13 +56,8 @@ func WriteHello(w io.Writer, version uint8) error {
 	return err
 }
 
-// IsHelloPrefix reports whether the first four bytes read from a connection
-// begin a hello frame rather than a v1 or v2 length header.
-func IsHelloPrefix(b []byte) bool {
-	return len(b) >= 4 && b[0] == 0xff && b[1] == 0xff && b[2] == 0xff && b[3] == 0xff
-}
-
-// ReadHello consumes one hello frame and returns the version it carries.
+// ReadHello consumes one hello frame and returns the version it carries,
+// which is at least Version2.
 func ReadHello(r io.Reader) (uint8, error) {
 	var buf [HelloSize]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
@@ -79,7 +66,7 @@ func ReadHello(r io.Reader) (uint8, error) {
 	if !bytes.Equal(buf[:8], helloMagic[:]) {
 		return 0, errBadHello
 	}
-	if buf[8] < Version1 {
+	if buf[8] < Version2 {
 		return 0, errBadVersion
 	}
 	return buf[8], nil
@@ -120,9 +107,10 @@ func finishTaggedFrame(dst []byte, base int) ([]byte, error) {
 	return dst, nil
 }
 
-// ReadTaggedHeader reads one v2 frame header and returns the frame's tag
-// and remaining body length. A header whose v2 bit is unset (a v1 frame on
-// a negotiated-v2 connection) is a protocol violation and returns an error.
+// ReadTaggedHeader reads one frame header and returns the frame's tag and
+// remaining body length. A header whose marker bit is unset (an untagged
+// length word: a desynchronised or foreign stream) is a protocol violation
+// and returns an error.
 func ReadTaggedHeader(r io.Reader) (tag uint32, bodyLen int, err error) {
 	var hdr [taggedHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -158,21 +146,6 @@ func ReadTaggedResponseBody(r io.Reader, bodyLen int, d *RespDecodeBuf) ([]Respo
 		return nil, err
 	}
 	return ParseResponses(body, d)
-}
-
-// ReadRequestBody reads one v1 framed body into d's frame buffer without
-// parsing it, so the caller can choose strict (ParseRequests) or lenient
-// (ParseRequestsLenient) decoding.
-func ReadRequestBody(r io.Reader, d *DecodeBuf) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxMessage {
-		return nil, errTooLarge
-	}
-	return readBodyInto(r, int(n), &d.frame)
 }
 
 // readBodyInto reads n bytes into *buf, growing it as needed; the buffer is

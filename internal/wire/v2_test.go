@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"reflect"
 	"testing"
@@ -12,21 +11,23 @@ func TestHelloRoundTrip(t *testing.T) {
 	if len(b) != HelloSize {
 		t.Fatalf("hello size %d want %d", len(b), HelloSize)
 	}
-	if !IsHelloPrefix(b) {
-		t.Fatal("hello not recognized by IsHelloPrefix")
-	}
 	ver, err := ReadHello(bytes.NewReader(b))
 	if err != nil || ver != Version2 {
 		t.Fatalf("ReadHello: %d %v", ver, err)
 	}
+	// A newer proposal reads back as sent; the server answers it with
+	// Version2.
+	if ver, err := ReadHello(bytes.NewReader(AppendHello(nil, 7))); err != nil || ver != 7 {
+		t.Fatalf("ReadHello(7): %d %v", ver, err)
+	}
 
-	// A v1 frame must not look like a hello.
-	frame, err := AppendRequests(nil, []Request{{Op: OpGet, Key: []byte("k")}})
+	// A tagged frame must not look like a hello.
+	frame, err := AppendTaggedRequests(nil, 1, []Request{{Op: OpGet, Key: []byte("k")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IsHelloPrefix(frame) {
-		t.Fatal("v1 frame mistaken for hello")
+	if _, err := ReadHello(bytes.NewReader(frame)); err == nil {
+		t.Fatal("tagged frame mistaken for hello")
 	}
 
 	// Corrupt magic and version are rejected.
@@ -35,37 +36,10 @@ func TestHelloRoundTrip(t *testing.T) {
 	if _, err := ReadHello(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	if _, err := ReadHello(bytes.NewReader(AppendHello(nil, 0))); err == nil {
-		t.Fatal("version 0 accepted")
-	}
-}
-
-// A v1 decoder must reject hello and v2 frames outright (they decode as
-// impossible lengths), so a legacy endpoint can never misparse v2 traffic.
-func TestV1DecodersRejectV2(t *testing.T) {
-	tagged, err := AppendTaggedRequests(nil, 3, []Request{{Op: OpGet, Key: []byte("k")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, frame := range map[string][]byte{
-		"hello":  AppendHello(nil, Version2),
-		"tagged": tagged,
-	} {
-		var dec DecodeBuf
-		if _, err := ParseRequests(frame[4:], &dec); err == nil {
-			t.Fatalf("ParseRequests accepted a %s frame body", name)
+	for _, v := range []uint8{0, 1} {
+		if _, err := ReadHello(bytes.NewReader(AppendHello(nil, v))); err == nil {
+			t.Fatalf("version %d accepted", v)
 		}
-		if _, err := ReadRequests(bufio.NewReader(bytes.NewReader(frame))); err == nil {
-			t.Fatalf("ReadRequests accepted a %s frame", name)
-		}
-	}
-	// And the v2 reader rejects v1 frames (missing marker bit).
-	v1, err := AppendRequests(nil, []Request{{Op: OpGet, Key: []byte("k")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadTaggedHeader(bytes.NewReader(v1)); err == nil {
-		t.Fatal("ReadTaggedHeader accepted a v1 frame")
 	}
 }
 
@@ -137,20 +111,12 @@ func TestTaggedResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// The CAS request must round-trip through the owning (v1) decoder too —
-// OpCas is a body-level extension shared by both protocol versions.
-func TestCasRequestV1RoundTrip(t *testing.T) {
+// A CAS request's ExpectVersion must survive the round trip at full 64-bit
+// width, alongside its column writes.
+func TestCasRequestRoundTrip(t *testing.T) {
 	reqs := []Request{{Op: OpCas, Key: []byte("key"), ExpectVersion: 1 << 40,
 		Puts: []ColData{{Col: 3, Data: []byte("v")}}}}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteRequests(w, reqs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRequests(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTripRequests(t, reqs)
 	if got[0].Op != OpCas || got[0].ExpectVersion != 1<<40 || got[0].Puts[0].Col != 3 {
 		t.Fatalf("cas round trip: %+v", got[0])
 	}
@@ -162,11 +128,11 @@ func TestParseRequestsLenient(t *testing.T) {
 		{Op: OpCode(200), Key: []byte("b")}, // unknown opcode: undecodable
 		{Op: OpGet, Key: []byte("c")},
 	}
-	frame, err := AppendRequests(nil, reqs)
+	frame, err := AppendTaggedRequests(nil, 1, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := frame[4:] // strip length header
+	body := frame[8:] // strip the tagged header
 	var d DecodeBuf
 	got, claimed, err := ParseRequestsLenient(body, &d)
 	if err != nil {
@@ -180,8 +146,8 @@ func TestParseRequestsLenient(t *testing.T) {
 	}
 
 	// A fully well-formed batch decodes whole.
-	okFrame, _ := AppendRequests(nil, []Request{{Op: OpGet, Key: []byte("x")}, {Op: OpRemove, Key: []byte("y")}})
-	got, claimed, err = ParseRequestsLenient(okFrame[4:], &d)
+	okFrame, _ := AppendTaggedRequests(nil, 2, []Request{{Op: OpGet, Key: []byte("x")}, {Op: OpRemove, Key: []byte("y")}})
+	got, claimed, err = ParseRequestsLenient(okFrame[8:], &d)
 	if err != nil || claimed != 2 || len(got) != 2 {
 		t.Fatalf("well-formed: %d/%d %v", len(got), claimed, err)
 	}
@@ -195,7 +161,7 @@ func TestParseRequestsLenient(t *testing.T) {
 	}
 
 	// Trailing bytes after a complete batch are a frame-level error too.
-	trailing := append(append([]byte(nil), okFrame[4:]...), 0xAB)
+	trailing := append(append([]byte(nil), okFrame[8:]...), 0xAB)
 	if _, _, err := ParseRequestsLenient(trailing, &d); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}

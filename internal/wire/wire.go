@@ -4,33 +4,29 @@
 // vital for throughput (§7: "Batched query support is vital on these
 // benchmarks") — and responses come back as a matching batch.
 //
-// # Protocol versions and framing
+// # Framing
 //
-// Two frame layouts share one connection-level grammar, distinguished by
-// the top bit of the leading length word (lengths are bounded by MaxMessage,
-// far below 1<<31, so the bit is never part of an honest v1 length):
+// A connection opens with a hello exchange; every frame after it, in both
+// directions, is tagged:
 //
-//	v1 frame:  length(4, LE)            | body
-//	v2 frame:  length(4, LE) | 1<<31    | tag(4, LE) | body
-//	hello:     0xFFFFFFFF | "MTKV"      | version(1)
+//	hello:  0xFFFFFFFF | "MTKV"                | version(1)
+//	frame:  length(4, LE) | 1<<31 | tag(4, LE) | body
 //
-// A body holds a 4-byte request/response count followed by that many
-// requests or responses. A v1 connection allows one frame in flight: the
-// client writes a batch and blocks for the matching batch of responses.
+// The length covers the tag and the body. Lengths are bounded by
+// MaxMessage, far below 1<<31, so the marker bit is never part of an honest
+// length: a reader that finds it unset is looking at a desynchronised or
+// foreign stream and drops it. A body holds a 4-byte request/response count
+// followed by that many requests or responses.
 //
-// Protocol v2 is negotiated by a hello exchange: the client's first bytes
-// are a hello frame proposing a version, the server answers with a hello
-// carrying the version it accepts (the minimum of both sides'), and every
-// subsequent frame in both directions is tagged. Version2 is the oldest
-// version a hello can negotiate — v1 clients simply send no hello — so a
-// server drops a connection whose hello proposes anything lower rather
-// than answering with a version the hello sender could not speak. Tags are opaque sequence
-// numbers chosen by the client; the server echoes each request frame's tag
-// on its response frame and answers frames in arrival order, so a client
-// may keep many tagged batches in flight (pipelining) and match responses
-// to requests by tag. A client that sends no hello speaks v1 verbatim —
-// the hello magic decodes as an impossible v1 length, so the two first
-// bytes streams cannot be confused.
+// The client's first bytes are a hello proposing a version; the server
+// answers with a hello carrying the version it accepts (the minimum of both
+// sides'). Version2 is the only version this protocol defines, so a hello
+// proposing anything lower is rejected rather than answered with a version
+// its sender could not speak. Tags are opaque sequence numbers chosen by
+// the client; the server echoes each request frame's tag on its response
+// frame and answers frames in arrival order, so a client may keep many
+// tagged batches in flight (pipelining) and match responses to requests by
+// tag.
 //
 // # Conditional writes
 //
@@ -42,27 +38,22 @@
 // client can re-read, rebase, and retry. Get responses carry the value's
 // version for exactly this purpose.
 //
-// # Decode/encode surfaces
+// # Decoding
 //
-// Two decode/encode surfaces exist. The legacy functions (ReadRequests,
-// WriteRequests, ...) return self-contained values and are safe to retain;
-// they draw their frame buffers from an internal pool. The scratch-based
-// variants (ReadRequestsInto, WriteResponsesInto, the tagged v2 helpers,
-// ...) reuse per-connection buffers across messages and decode by aliasing
-// the frame body instead of copying, making the steady-state hot path
-// allocation-free; their results are only valid until the next call with
-// the same scratch. ParseRequestsLenient additionally decodes as much of a
-// damaged batch as possible so a server can answer the undecodable suffix
-// with StatusError instead of dropping the connection.
+// There is one decode surface, and it does not copy: ParseRequests and
+// ParseResponses decode a frame body by aliasing it, with slice headers in
+// per-connection arenas (DecodeBuf, RespDecodeBuf) reused across messages,
+// so the steady-state hot path allocates nothing. Their results are valid
+// only until the next call with the same scratch. ParseRequestsLenient
+// additionally decodes as much of a damaged batch as possible so a server
+// can answer the undecodable suffix with StatusError instead of dropping
+// the connection.
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 )
 
 // OpCode identifies a request type.
@@ -88,9 +79,7 @@ const (
 	// OpPutTTL is OpPut with a time-to-live: the request carries TTL
 	// seconds (relative — the server computes the absolute deadline), after
 	// which the key reads as absent and is eventually swept. TTL 0 stores a
-	// value that never expires, exactly like OpPut. Cache-mode operations
-	// are protocol v2 surface: a v1 connection answering them gets
-	// StatusError (v1 semantics stay untouched).
+	// value that never expires, exactly like OpPut.
 	OpPutTTL OpCode = 7
 	// OpTouch resets a key's TTL without changing its value (TTL 0 removes
 	// the expiry). StatusNotFound if the key is absent or already expired.
@@ -99,8 +88,7 @@ const (
 	// miss: concurrent misses for one key coalesce into a single backend
 	// load server-side. Responses may carry StatusStale when the backend is
 	// unavailable and an expired resident value is served under the
-	// max-stale window. Like the other cache-mode ops it is protocol v2
-	// surface; v1 connections get StatusError. Encodes exactly like OpGet.
+	// max-stale window. Encodes exactly like OpGet.
 	OpGetOrLoad OpCode = 9
 )
 
@@ -175,23 +163,10 @@ const (
 	responseStructBytes = 64 // Status + Version + Cols/Pairs headers
 )
 
-// framePool recycles frame buffers for the legacy read/write entry points,
-// so even callers without per-connection scratch avoid steady-state frame
-// allocations. Oversized buffers are dropped rather than pinned in the pool.
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxPooledFrame = 1 << 20
-
-func putFrameBuf(b *[]byte) {
-	if cap(*b) <= maxPooledFrame {
-		framePool.Put(b)
-	}
-}
-
 // DecodeBuf is one connection's reusable request-decode state: the raw frame
 // body plus arenas backing the decoded requests' Key, Cols, and Puts fields.
-// Requests returned by ReadRequestsInto/ParseRequests alias these buffers
-// and are valid only until the next call with the same DecodeBuf.
+// Requests returned by ParseRequests/ParseRequestsLenient alias these
+// buffers and are valid only until the next call with the same DecodeBuf.
 //
 //masstree:scratch
 type DecodeBuf struct {
@@ -219,18 +194,8 @@ func (d *DecodeBuf) Shrink(max int) {
 	}
 }
 
-// ReadRequestsInto reads one framed request batch into d's reusable buffers.
-// The returned requests alias d and remain valid until the next call.
-func ReadRequestsInto(r *bufio.Reader, d *DecodeBuf) ([]Request, error) {
-	body, err := readFrameInto(r, &d.frame)
-	if err != nil {
-		return nil, err
-	}
-	return ParseRequests(body, d)
-}
-
-// ParseRequests decodes a request-batch body (the frame payload, without the
-// 4-byte length header). Decoded Key and put Data fields alias body; Cols
+// ParseRequests decodes a request-batch body (the frame payload after the
+// 8-byte tagged header). Decoded Key and put Data fields alias body; Cols
 // and Puts slices live in d's arenas. Results are valid until the next call
 // with the same DecodeBuf or until body's buffer is reused.
 //
@@ -422,16 +387,6 @@ func (d *RespDecodeBuf) Shrink(max int) {
 	}
 }
 
-// ReadResponsesInto reads one framed response batch into d's reusable
-// buffers. The returned responses alias d and are valid until the next call.
-func ReadResponsesInto(r *bufio.Reader, d *RespDecodeBuf) ([]Response, error) {
-	body, err := readFrameInto(r, &d.frame)
-	if err != nil {
-		return nil, err
-	}
-	return ParseResponses(body, d)
-}
-
 // ParseResponses decodes a response-batch body; column data and pair keys
 // alias body, slice headers live in d's arenas. Results are valid until the
 // next call with the same RespDecodeBuf or until body's buffer is reused.
@@ -534,163 +489,6 @@ func parseColsAlias(b []byte, n int, d *RespDecodeBuf) ([][]byte, []byte, error)
 	return d.cols[start:len(d.cols):len(d.cols)], b, nil
 }
 
-// AppendRequests appends a complete framed request batch (length header plus
-// body) to dst, returning the extended slice.
-func AppendRequests(dst []byte, reqs []Request) ([]byte, error) {
-	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(reqs)))
-	for i := range reqs {
-		dst = appendRequest(dst, &reqs[i])
-	}
-	return finishFrame(dst, base)
-}
-
-// AppendResponses appends a complete framed response batch to dst.
-func AppendResponses(dst []byte, resps []Response) ([]byte, error) {
-	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resps)))
-	for i := range resps {
-		dst = appendResponse(dst, &resps[i])
-	}
-	return finishFrame(dst, base)
-}
-
-// finishFrame patches the 4-byte length header reserved at base.
-func finishFrame(dst []byte, base int) ([]byte, error) {
-	n := len(dst) - base - 4
-	if n > MaxMessage {
-		return dst[:base], errTooLarge
-	}
-	binary.LittleEndian.PutUint32(dst[base:], uint32(n))
-	return dst, nil
-}
-
-// WriteRequestsInto frames and writes a request batch, building the frame in
-// *buf (grown as needed and retained for reuse across calls).
-func WriteRequestsInto(w *bufio.Writer, reqs []Request, buf *[]byte) error {
-	b, err := AppendRequests((*buf)[:0], reqs)
-	if err != nil {
-		return err
-	}
-	*buf = b
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// WriteResponsesInto frames and writes a response batch, building the frame
-// in *buf (grown as needed and retained for reuse across calls).
-func WriteResponsesInto(w *bufio.Writer, resps []Response, buf *[]byte) error {
-	b, err := AppendResponses((*buf)[:0], resps)
-	if err != nil {
-		return err
-	}
-	*buf = b
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// WriteRequests frames and writes a request batch using a pooled buffer.
-func WriteRequests(w *bufio.Writer, reqs []Request) error {
-	bp := framePool.Get().(*[]byte)
-	err := WriteRequestsInto(w, reqs, bp)
-	putFrameBuf(bp)
-	return err
-}
-
-// WriteResponses frames and writes a response batch using a pooled buffer.
-func WriteResponses(w *bufio.Writer, resps []Response) error {
-	bp := framePool.Get().(*[]byte)
-	err := WriteResponsesInto(w, resps, bp)
-	putFrameBuf(bp)
-	return err
-}
-
-// ReadRequests reads one framed request batch. The returned requests own
-// their memory (nothing aliases internal buffers); the frame is pooled.
-func ReadRequests(r *bufio.Reader) ([]Request, error) {
-	bp := framePool.Get().(*[]byte)
-	defer putFrameBuf(bp)
-	body, err := readFrameInto(r, bp)
-	if err != nil {
-		return nil, err
-	}
-	n, body, err := readU32(body)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > len(body)/minRequestSize {
-		return nil, errShort
-	}
-	reqs := make([]Request, n)
-	for i := range reqs {
-		body, err = parseRequest(body, &reqs[i])
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(body) != 0 {
-		return nil, errTrailingReq
-	}
-	return reqs, nil
-}
-
-// ReadResponses reads one framed response batch. The returned responses own
-// their memory; the frame is pooled.
-func ReadResponses(r *bufio.Reader) ([]Response, error) {
-	bp := framePool.Get().(*[]byte)
-	defer putFrameBuf(bp)
-	body, err := readFrameInto(r, bp)
-	if err != nil {
-		return nil, err
-	}
-	n, body, err := readU32(body)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > len(body)/minResponseSize {
-		return nil, errShort
-	}
-	resps := make([]Response, n)
-	for i := range resps {
-		body, err = parseResponse(body, &resps[i])
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(body) != 0 {
-		return nil, errTrailingResp
-	}
-	return resps, nil
-}
-
-// readFrameInto reads one length-prefixed frame body into *buf, growing it
-// as needed; the buffer is retained across calls for reuse.
-func readFrameInto(r *bufio.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxMessage {
-		return nil, errTooLarge
-	}
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
-	} else {
-		*buf = (*buf)[:n]
-	}
-	if _, err := io.ReadFull(r, *buf); err != nil {
-		return nil, err
-	}
-	return *buf, nil
-}
-
 func appendRequest(b []byte, r *Request) []byte {
 	b = append(b, byte(r.Op))
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Key)))
@@ -724,89 +522,6 @@ func appendRequest(b []byte, r *Request) []byte {
 	return b
 }
 
-func parseRequest(b []byte, r *Request) ([]byte, error) {
-	if len(b) < 3 {
-		return nil, errShort
-	}
-	r.Op = OpCode(b[0])
-	klen := int(binary.LittleEndian.Uint16(b[1:]))
-	b = b[3:]
-	if len(b) < klen {
-		return nil, errShort
-	}
-	r.Key = append([]byte(nil), b[:klen]...)
-	b = b[klen:]
-	switch r.Op {
-	case OpGet, OpGetRange, OpGetOrLoad:
-		if len(b) < 1 {
-			return nil, errShort
-		}
-		ncols := int(b[0])
-		b = b[1:]
-		if len(b) < 2*ncols {
-			return nil, errShort
-		}
-		if ncols > 0 {
-			r.Cols = make([]int, ncols)
-			for i := range r.Cols {
-				r.Cols[i] = int(binary.LittleEndian.Uint16(b))
-				b = b[2:]
-			}
-		}
-		if r.Op == OpGetRange {
-			if len(b) < 2 {
-				return nil, errShort
-			}
-			r.N = int(binary.LittleEndian.Uint16(b))
-			b = b[2:]
-		}
-	case OpPut, OpCas, OpPutTTL:
-		if r.Op == OpCas {
-			if len(b) < 8 {
-				return nil, errShort
-			}
-			r.ExpectVersion = binary.LittleEndian.Uint64(b)
-			b = b[8:]
-		}
-		if r.Op == OpPutTTL {
-			if len(b) < 4 {
-				return nil, errShort
-			}
-			r.TTL = binary.LittleEndian.Uint32(b)
-			b = b[4:]
-		}
-		if len(b) < 1 {
-			return nil, errShort
-		}
-		nputs := int(b[0])
-		b = b[1:]
-		r.Puts = make([]ColData, nputs)
-		for i := range r.Puts {
-			if len(b) < 6 {
-				return nil, errShort
-			}
-			r.Puts[i].Col = int(binary.LittleEndian.Uint16(b))
-			dlen := int(binary.LittleEndian.Uint32(b[2:]))
-			b = b[6:]
-			if len(b) < dlen {
-				return nil, errShort
-			}
-			r.Puts[i].Data = append([]byte(nil), b[:dlen]...)
-			b = b[dlen:]
-		}
-	case OpTouch:
-		if len(b) < 4 {
-			return nil, errShort
-		}
-		r.TTL = binary.LittleEndian.Uint32(b)
-		b = b[4:]
-	case OpRemove, OpStats:
-	default:
-		return nil, fmt.Errorf("wire: unknown opcode %d", r.Op)
-	}
-	return b, nil
-}
-
 func appendResponse(b []byte, r *Response) []byte {
 	b = append(b, r.Status)
 	b = binary.LittleEndian.AppendUint64(b, r.Version)
@@ -826,69 +541,6 @@ func appendResponse(b []byte, r *Response) []byte {
 		}
 	}
 	return b
-}
-
-func parseResponse(b []byte, r *Response) ([]byte, error) {
-	if len(b) < 13 {
-		return nil, errShort
-	}
-	r.Status = b[0]
-	r.Version = binary.LittleEndian.Uint64(b[1:])
-	ncols := int(binary.LittleEndian.Uint16(b[9:]))
-	b = b[11:]
-	if ncols > 0 {
-		r.Cols = make([][]byte, ncols)
-		for i := range r.Cols {
-			var err error
-			r.Cols[i], b, err = readBytes32(b)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(b) < 2 {
-		return nil, errShort
-	}
-	npairs := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if npairs > 0 {
-		r.Pairs = make([]Pair, npairs)
-		for i := range r.Pairs {
-			if len(b) < 2 {
-				return nil, errShort
-			}
-			klen := int(binary.LittleEndian.Uint16(b))
-			b = b[2:]
-			if len(b) < klen+2 {
-				return nil, errShort
-			}
-			r.Pairs[i].Key = append([]byte(nil), b[:klen]...)
-			b = b[klen:]
-			nc := int(binary.LittleEndian.Uint16(b))
-			b = b[2:]
-			r.Pairs[i].Cols = make([][]byte, nc)
-			for j := 0; j < nc; j++ {
-				var err error
-				r.Pairs[i].Cols[j], b, err = readBytes32(b)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return b, nil
-}
-
-func readBytes32(b []byte) ([]byte, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, errShort
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if len(b) < n {
-		return nil, nil, errShort
-	}
-	return append([]byte(nil), b[:n]...), b[n:], nil
 }
 
 func readU32(b []byte) (uint32, []byte, error) {

@@ -1,21 +1,46 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
 
+// readRequestFrame reads one tagged request frame from r and decodes it
+// into d, the way the server's reader stage does.
+func readRequestFrame(r io.Reader, d *DecodeBuf) ([]Request, error) {
+	_, n, err := ReadTaggedHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	body, err := ReadTaggedRequestBody(r, n, d)
+	if err != nil {
+		return nil, err
+	}
+	return ParseRequests(body, d)
+}
+
+// readResponseFrame reads one tagged response frame from r into d, the way
+// the client's reader does.
+func readResponseFrame(r io.Reader, d *RespDecodeBuf) ([]Response, error) {
+	_, n, err := ReadTaggedHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	return ReadTaggedResponseBody(r, n, d)
+}
+
 func roundTripRequests(t *testing.T, reqs []Request) []Request {
 	t.Helper()
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteRequests(w, reqs); err != nil {
+	frame, err := AppendTaggedRequests(nil, 1, reqs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRequests(bufio.NewReader(&buf))
+	var d DecodeBuf
+	got, err := readRequestFrame(bytes.NewReader(frame), &d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +89,12 @@ func TestResponseRoundTrip(t *testing.T) {
 			{Key: []byte(""), Cols: nil},
 		}},
 	}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteResponses(w, resps); err != nil {
+	frame, err := AppendTaggedResponses(nil, 1, resps)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadResponses(bufio.NewReader(&buf))
+	var d RespDecodeBuf
+	got, err := readResponseFrame(bytes.NewReader(frame), &d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +121,12 @@ func TestRequestQuick(t *testing.T) {
 			{Op: OpPut, Key: key, Puts: []ColData{{Col: int(col), Data: data}}},
 			{Op: OpGetRange, Key: key, N: int(n)},
 		}
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if err := WriteRequests(w, reqs); err != nil {
+		frame, err := AppendTaggedRequests(nil, 1, reqs)
+		if err != nil {
 			return len(key) > 0xffff // only oversized keys may fail
 		}
-		got, err := ReadRequests(bufio.NewReader(&buf))
+		var d DecodeBuf
+		got, err := readRequestFrame(bytes.NewReader(frame), &d)
 		if err != nil || len(got) != 2 {
 			return false
 		}
@@ -114,14 +139,13 @@ func TestRequestQuick(t *testing.T) {
 }
 
 func TestTruncatedFrameErrors(t *testing.T) {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteRequests(w, []Request{{Op: OpGet, Key: []byte("k")}}); err != nil {
+	full, err := AppendTaggedRequests(nil, 1, []Request{{Op: OpGet, Key: []byte("k")}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
+	var d DecodeBuf
 	for cut := 0; cut < len(full); cut++ {
-		_, err := ReadRequests(bufio.NewReader(bytes.NewReader(full[:cut])))
+		_, err := readRequestFrame(bytes.NewReader(full[:cut]), &d)
 		if err == nil {
 			t.Fatalf("cut %d: expected error", cut)
 		}
@@ -129,21 +153,37 @@ func TestTruncatedFrameErrors(t *testing.T) {
 }
 
 func TestUnknownOpcodeErrors(t *testing.T) {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	WriteRequests(w, []Request{{Op: OpGet, Key: []byte("k")}})
-	b := buf.Bytes()
-	b[8] = 99 // clobber the opcode (4B frame len + 4B count)
-	if _, err := ReadRequests(bufio.NewReader(bytes.NewReader(b))); err == nil {
+	b, err := AppendTaggedRequests(nil, 1, []Request{{Op: OpGet, Key: []byte("k")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[12] = 99 // clobber the opcode (8B tagged header + 4B count)
+	var d DecodeBuf
+	if _, err := readRequestFrame(bytes.NewReader(b), &d); err == nil {
 		t.Fatal("expected error for unknown opcode")
 	}
 }
 
 func TestOversizeFrameRejected(t *testing.T) {
-	var hdr [4]byte
-	hdr[3] = 0xff // huge length
-	_, err := ReadRequests(bufio.NewReader(bytes.NewReader(hdr[:])))
+	var hdr [8]byte
+	hdr[3] = 0xff // marker bit plus a huge length
+	var d DecodeBuf
+	_, err := readRequestFrame(bytes.NewReader(hdr[:]), &d)
 	if err == nil {
 		t.Fatal("expected error for oversized frame")
+	}
+}
+
+// A length word without the tagged-frame marker bit means the stream is
+// desynchronised or foreign; the header reader must refuse it rather than
+// misread the next word as a tag.
+func TestUnmarkedHeaderRejected(t *testing.T) {
+	frame, err := AppendTaggedRequests(nil, 3, []Request{{Op: OpGet, Key: []byte("k")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[3] &^= 0x80 // clear the marker bit, leaving an honest length
+	if _, _, err := ReadTaggedHeader(bytes.NewReader(frame)); !errors.Is(err, errNotV2) {
+		t.Fatalf("unmarked header: err=%v, want errNotV2", err)
 	}
 }
