@@ -169,6 +169,18 @@ func (in *interiorNode) childFor(slice uint64) *nodeHeader {
 	return in.child[i].Load()
 }
 
+// childIndex returns the index of child among the locked node's children,
+// or -1 if it is not linked here.
+func (in *interiorNode) childIndex(child *nodeHeader) int {
+	nk := int(in.nkeys.Load())
+	for i := 0; i <= nk; i++ {
+		if in.child[i].Load() == child {
+			return i
+		}
+	}
+	return -1
+}
+
 // lockParent implements Figure 4's lockedparent: lock n's parent, retrying
 // if the parent changes underneath us (an interior split can move n to a new
 // parent without n's lock). Returns nil if n is a root. The caller must hold

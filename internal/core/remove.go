@@ -184,13 +184,7 @@ func (t *Tree) removeBorder(n *borderNode) {
 //masstree:unlocks p
 func (t *Tree) removeChild(p *interiorNode, child *nodeHeader) {
 	nk := int(p.nkeys.Load())
-	idx := -1
-	for i := 0; i <= nk; i++ {
-		if p.child[i].Load() == child {
-			idx = i
-			break
-		}
-	}
+	idx := p.childIndex(child)
 	if idx < 0 {
 		// The child is no longer linked here (an interior split moved it and
 		// removal raced ahead); nothing to do.
@@ -209,6 +203,8 @@ func (t *Tree) removeChild(p *interiorNode, child *nodeHeader) {
 		}
 		return
 	}
+	// Removing child[0] raises p's lower bound to its first separator.
+	newLow := p.keyslice[0].Load()
 	if idx == 0 {
 		for i := 0; i < nk-1; i++ {
 			p.keyslice[i].Store(p.keyslice[i+1].Load())
@@ -225,7 +221,47 @@ func (t *Tree) removeChild(p *interiorNode, child *nodeHeader) {
 		}
 	}
 	p.nkeys.Store(int32(nk - 1))
+	if idx == 0 {
+		// p stays locked until the ancestor agrees, so no reader routes
+		// the deleted range through p to its new, higher-keyed child[0].
+		t.redirect(p, newLow)
+	}
 	p.h.unlock()
+}
+
+// redirect gives the range of p's just-removed leftmost child to p's left
+// neighbour, as removeBorder already did in the border list ("range moves
+// to p"). Without it, interior routing would hand that range to the right
+// sibling instead, and a later insert would land below that node's lowkey.
+// p's old lower bound is the separator in the nearest ancestor under which
+// p's path is not the leftmost child; it is rewritten to newLow. This is
+// the reference Masstree's redirect. Ancestors are locked bottom-up and
+// hand-over-hand, as in ascend; p is locked throughout and stays locked.
+//
+//masstree:locked p
+func (t *Tree) redirect(p *interiorNode, newLow uint64) {
+	gp := p.h.lockParent()
+	if gp == nil {
+		// p is a tree root, whose lower bound is -inf: unreachable, because
+		// a tree's leftmost border is never deleted.
+		return
+	}
+	j := gp.childIndex(&p.h)
+	for j == 0 {
+		up := gp.h.lockParent()
+		if up == nil {
+			gp.h.unlock()
+			return
+		}
+		j = up.childIndex(&gp.h)
+		gp.h.unlock()
+		gp = up
+	}
+	if j > 0 { // j < 0: no longer linked here, so nothing routes through it
+		gp.h.markSplitting() // routing changes: readers retry from the root
+		gp.keyslice[j-1].Store(newLow)
+	}
+	gp.h.unlock()
 }
 
 // scheduleCollapse queues a maintenance task to remove the (possibly) empty

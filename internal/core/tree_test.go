@@ -204,6 +204,68 @@ func TestRemoveEverythingThenReuse(t *testing.T) {
 	}
 }
 
+// TestRemoveLeftmostChildRedirects deletes a border node that is child[0]
+// of a non-leftmost interior node. The deleted range moves to the left
+// neighbour in the border list, so interior routing must send it there too:
+// a re-inserted key must not land in the right sibling, below its lowkey.
+func TestRemoveLeftmostChildRedirects(t *testing.T) {
+	tr := New()
+	const n = 300
+	for i := 0; i < n; i++ {
+		put(tr, fmt.Sprintf("hot%04d", i), "v")
+	}
+	root := tr.rootHeader()
+	if isBorder(root.version.Load()) {
+		t.Fatal("tree too small: root is a border node")
+	}
+	h := root.interior().child[1].Load()
+	if isBorder(h.version.Load()) {
+		t.Fatal("root's second subtree is a single border node")
+	}
+	for !isBorder(h.version.Load()) {
+		h = h.interior().child[0].Load()
+	}
+	victim := h.border()
+	hi, bounded := uint64(0), false
+	if next := victim.next.Load(); next != nil {
+		hi, bounded = next.lowSlice, true
+	}
+	var keys []string
+	tr.Scan(nil, func(k []byte, _ *value.Value) bool {
+		if s := keySlice(k); s >= victim.lowSlice && (!bounded || s < hi) {
+			keys = append(keys, string(k))
+		}
+		return true
+	})
+	if len(keys) == 0 {
+		t.Fatal("victim border node holds no keys")
+	}
+	for _, k := range keys {
+		if _, ok := tr.Remove([]byte(k)); !ok {
+			t.Fatalf("remove %q failed", k)
+		}
+	}
+	if !isDeleted(victim.h.version.Load()) {
+		t.Fatal("emptied border node was not deleted")
+	}
+	checkInvariants(t, tr)
+	for _, k := range keys {
+		put(tr, k, "again")
+		checkInvariants(t, tr)
+	}
+	again := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		again[k] = true
+	}
+	for i := 0; i < n; i++ {
+		k, want := fmt.Sprintf("hot%04d", i), "v"
+		if again[k] {
+			want = "again"
+		}
+		mustGet(t, tr, k, want)
+	}
+}
+
 func TestLayerCollapseMaintenance(t *testing.T) {
 	tr := New()
 	put(tr, "01234567AB", "v1")
